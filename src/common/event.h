@@ -37,13 +37,20 @@ struct PowerEvent {
 static_assert(sizeof(PowerEvent) == 16, "PowerEvent must stay 16 bytes (4 fields)");
 static_assert(std::is_trivially_copyable_v<PowerEvent>);
 
-// Key/value pair produced by aggregations (e.g. per-key sums within a window).
+// Key/value pair produced by aggregations (e.g. per-key sums within a window). The four bytes
+// between key and value are an explicit, always-zero field rather than compiler padding:
+// cells are egressed byte for byte, and padding would carry whatever the producing thread's
+// stack held, so identical results could encrypt to different blobs. Build cells with
+// designated initializers ({.key = k, .value = v}).
 struct KeyValue {
   uint32_t key = 0;
+  uint32_t reserved = 0;
   int64_t value = 0;
 
   bool operator==(const KeyValue&) const = default;
 };
+static_assert(sizeof(KeyValue) == 16 && std::has_unique_object_representations_v<KeyValue>,
+              "KeyValue must have no padding: its bytes are egressed as-is");
 static_assert(std::is_trivially_copyable_v<KeyValue>);
 
 // Aggregate cell carrying sum and count, enabling exact averages after merging.

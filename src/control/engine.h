@@ -45,9 +45,9 @@ inline std::string_view EngineVersionName(EngineVersion v) {
 
 struct EngineOptions {
   size_t secure_pool_mb = 512;
-  // The shared execution knobs (worker_threads / fuse_chains / combine_submissions /
-  // lockfree_retire), declared once in src/core/exec_knobs.h and propagated to both layer
-  // configs by ApplyExecutionKnobs. Every knob is byte-neutral (property-tested).
+  // The shared execution knobs (worker_threads / fuse_chains / lockfree_retire), declared
+  // once in src/core/exec_knobs.h and propagated to both layer configs by
+  // ApplyExecutionKnobs. Every knob is byte-neutral (property-tested).
   ExecutionKnobs knobs;
   bool use_hints = true;
   PlacementPolicy placement = PlacementPolicy::kHintGuided;

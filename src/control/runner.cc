@@ -37,16 +37,6 @@ Runner::Runner(DataPlane* data_plane, Pipeline pipeline, RunnerConfig config)
     SBT_LOG(Error) << "window-close DAG contains a multi-output stage: close-stage audit ids "
                       "will be schedule-dependent at worker_threads > 1";
   }
-  if (config_.knobs.combine_submissions) {
-    // Shared queue when the server wired one (cross-engine combining on a shard), otherwise a
-    // private queue: either way workers publish ready chains instead of submitting directly.
-    if (config_.combiner != nullptr) {
-      combiner_ = config_.combiner;
-    } else {
-      owned_combiner_ = std::make_unique<SubmitCombiner>();
-      combiner_ = owned_combiner_.get();
-    }
-  }
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   m_queue_depth_ = reg.GetGauge("sbt_runner_queue_depth", config_.metric_labels);
   m_finished_closes_ = reg.GetGauge("sbt_runner_finished_closes", config_.metric_labels);
@@ -141,18 +131,6 @@ void Runner::NoteError(const Status& status) {
     obs::Tracer::Global().DumpIfConfigured();
   }
   SBT_LOG(Error) << "runner task failed: " << status.ToString();
-}
-
-Result<SubmitResponse> Runner::SubmitChain(const CmdBuffer& buffer, ExecTicket* ticket,
-                                           bool retire_ticket) {
-  if (combiner_ != nullptr) {
-    return combiner_->Apply(dp_, buffer, ticket, retire_ticket);
-  }
-  auto resp = dp_->Submit(buffer, ticket);
-  if (retire_ticket && ticket != nullptr) {
-    dp_->RetireTicket(*ticket);
-  }
-  return resp;
 }
 
 Status Runner::IngestFrame(std::span<const uint8_t> frame, uint16_t stream,
@@ -259,13 +237,12 @@ void Runner::RunChain(ExecTicket ticket, uint32_t worker_lane, OpaqueRef ref,
   bool ticket_retired = false;
   if (config_.knobs.fuse_chains && !chain.empty()) {
     // Fused: the compiled template stamps slot-chained commands over this segment's ref and
-    // the whole chain crosses the TEE boundary once — via the combining queue when combining
-    // is on, where a combiner may execute it (and its neighbors) under a single boundary
-    // crossing. The ticket retires inside SubmitChain, possibly on the combiner's thread, so
-    // the batch's records commit in ticket order without waking each submitter first; Release
-    // below writes no audit record, so the earlier retirement changes no bytes.
+    // the whole chain crosses the TEE boundary once, on this worker's own entry. The ticket
+    // retires right after the chain, so its records can commit before the bookkeeping below;
+    // Release writes no audit record, so the earlier retirement changes no bytes.
     const CmdBuffer buffer = chain_template_.Stamp(ref, step_hint);
-    auto resp = SubmitChain(buffer, &ticket, /*retire_ticket=*/true);
+    auto resp = dp_->Submit(buffer, &ticket);
+    dp_->RetireTicket(ticket);
     ticket_retired = true;
     if (!resp.ok()) {
       NoteError(resp.status());
@@ -278,12 +255,11 @@ void Runner::RunChain(ExecTicket ticket, uint32_t worker_lane, OpaqueRef ref,
     }
   } else {
     for (size_t i = 0; i < chain.size(); ++i) {
-      // One-command buffer, exactly what Invoke stamps internally — so each unfused step can
-      // flow through the combining queue too. The ticket spans the whole chain and retires
-      // below, after the last step.
+      // One-command buffer, exactly what Invoke stamps internally. The ticket spans the whole
+      // chain and retires below, after the last step.
       CmdBuffer one;
       one.Push(CmdBuffer::Entry{chain[i].op, {cur}, chain[i].params, step_hint(i)});
-      auto resp = SubmitChain(one, &ticket, /*retire_ticket=*/false);
+      auto resp = dp_->Submit(one, &ticket);
       if (!resp.ok()) {
         NoteError(resp.status());
         chain_ok = false;
@@ -462,9 +438,8 @@ void Runner::CloseWindow(uint32_t window_index, WindowState state) {
       cmd_of[j] = static_cast<int>(buffer.size()) - 1;
     }
     if (!buffer.empty()) {
-      // The close ticket retires only in ProcessClose, after the sequenced egress — the
-      // combiner must not retire it, so retire_ticket stays off.
-      auto resp = SubmitChain(buffer, &state.close_ticket, /*retire_ticket=*/false);
+      // The close ticket retires only in ProcessClose, after the sequenced egress.
+      auto resp = dp_->Submit(buffer, &state.close_ticket);
       if (!resp.ok()) {
         NoteError(resp.status());
         chain_ok = false;
@@ -490,7 +465,7 @@ void Runner::CloseWindow(uint32_t window_index, WindowState state) {
       }
       CmdBuffer one;
       one.Push(CmdBuffer::Entry{stages[j].op, std::move(inputs), stages[j].params, close_hint});
-      auto resp = SubmitChain(one, &state.close_ticket, /*retire_ticket=*/false);
+      auto resp = dp_->Submit(one, &state.close_ticket);
       if (!resp.ok()) {
         NoteError(resp.status());
         chain_ok = false;

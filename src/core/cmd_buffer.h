@@ -20,7 +20,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/core/opaque_ref.h"
 #include "src/primitives/registry.h"
 
@@ -83,13 +82,6 @@ class CmdBuffer {
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
   void Clear() { entries_.clear(); }
-
-  // Normal-world shape check: non-empty, and every slot-ref input or hint points strictly
-  // backward to an earlier command. The flat combiner runs this before a chain joins a
-  // combined batch, so a malformed chain bounces to its submitter without costing the batch a
-  // shared boundary crossing. Liveness and forgery checks still happen inside Submit — only
-  // the secure world can decide those.
-  Status Validate() const;
 
  private:
   std::vector<Entry> entries_;

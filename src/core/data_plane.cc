@@ -357,37 +357,6 @@ Result<SubmitResponse> DataPlane::Submit(const CmdBuffer& buffer, ExecTicket* ti
   BoundaryGuard inflight(&admission_mu_, &inflight_chains_);
   // The whole chain crosses the boundary once — this single session is the point of fusion.
   auto session = gate_.Enter();
-  return SubmitUnderSession(buffer, ticket, session);
-}
-
-void DataPlane::ExecuteCombinedBatch(std::span<CombinedChain* const> batch) {
-  if (batch.empty()) {
-    return;
-  }
-  BoundaryGuard inflight(&admission_mu_, &inflight_chains_);
-  // Structural event (ticket 0: always recorded when tracing is on): one span covering the
-  // whole batch's shared session, alongside each chain's own tee.chain span.
-  SBT_TRACE_SPAN("tee.combined_batch", 0, batch.size());
-  // One entry for the whole batch: the combiner's single session is what every chain in the
-  // ready set amortizes its world switch over.
-  auto session = gate_.Enter();
-  for (CombinedChain* chain : batch) {
-    if (chain->buffer == nullptr || chain->buffer->empty()) {
-      chain->result = InvalidArgument("empty command buffer");
-    } else {
-      chain->result = SubmitUnderSession(*chain->buffer, chain->ticket, session);
-    }
-    if (chain->retire_ticket && chain->ticket != nullptr) {
-      // On the submitter's behalf, success and failure alike — exactly where the uncombined
-      // path would retire. Commit order stays ticket order either way.
-      RetireTicket(*chain->ticket);
-    }
-  }
-  gate_.NoteCombinedBatch(batch.size());
-}
-
-Result<SubmitResponse> DataPlane::SubmitUnderSession(const CmdBuffer& buffer, ExecTicket* ticket,
-                                                     WorldSwitchGate::Session& session) {
   const uint64_t t0 = ReadCycleCounter();
   const std::vector<CmdBuffer::Entry>& cmds = buffer.entries();
   SBT_TRACE_SPAN("tee.chain", ticket != nullptr ? ticket->seq : 0, cmds.size());
@@ -836,9 +805,9 @@ Result<DataPlane::CheckpointBundle> DataPlane::Checkpoint(std::span<const uint8_
   // A command chain inside the TEE is atomic with respect to checkpoints: its intermediates
   // live in slots no table snapshot can see, so sealing mid-chain would capture a state no
   // unfused schedule can reach. The refusal decision below and the seal itself run under the
-  // boundary admission mutex — the same lock every chain (and every flat-combining batch)
-  // increments inflight_chains_ under — so the decision cannot go stale: a chain either
-  // admitted before the check (we refuse) or blocks at admission until the seal completes.
+  // boundary admission mutex — the same lock every chain increments inflight_chains_ under —
+  // so the decision cannot go stale: a chain either admitted before the check (we refuse) or
+  // blocks at admission until the seal completes.
   std::lock_guard<std::mutex> admission(admission_mu_);
   if (inflight_chains() != 0) {
     m_checkpoint_refusals_->Add(1);
@@ -882,8 +851,8 @@ Result<DataPlane::CheckpointBundle> DataPlane::Checkpoint(std::span<const uint8_
   const uint64_t seal_t0 = ReadCycleCounter();
   SBT_TRACE_SPAN("tee.checkpoint", 0, 0);
   // Test hook: each armed hit spins once more, deterministically widening the decision->seal
-  // window the admission mutex is supposed to have closed (stress_test checkpoint/combiner
-  // race coverage).
+  // window the admission mutex is supposed to have closed (stress_test checkpoint race
+  // coverage).
   while (SBT_FAIL_POINT("data_plane.checkpoint_stall")) {
   }
   auto session = gate_.Enter();

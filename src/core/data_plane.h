@@ -209,25 +209,6 @@ class DataPlane {
   // for ticket-ordered commit and outputs draw from the ticket's reserved ids.
   Result<InvokeResponse> Invoke(const InvokeRequest& request, ExecTicket* ticket = nullptr);
 
-  // One submitter's chain in a flat-combining batch (src/core/submit_combiner.h). The combiner
-  // fills `result`; when `retire_ticket` is set the ticket is retired on the submitter's behalf
-  // right after the chain executes, so audit commit order is the same as if the submitter had
-  // run the uncombined Submit + RetireTicket sequence itself.
-  struct CombinedChain {
-    const CmdBuffer* buffer = nullptr;
-    ExecTicket* ticket = nullptr;
-    bool retire_ticket = false;
-    Result<SubmitResponse> result = Status(StatusCode::kInternal, "combined chain not executed");
-  };
-
-  // Executes a batch of chains under ONE world-switch session — the cross-chain extension of
-  // the fused Submit boundary. Chains run in the order given (the combiner orders them by
-  // ticket seq). Each chain keeps Submit's semantics exactly: its own staged audit records, its
-  // ticket's reserved id range, and failure isolation — a failed chain reports through its own
-  // result and cannot poison batch-mates. Batches of >= 2 chains are counted in
-  // WorldSwitchStats::combined_entries / combined_chains.
-  void ExecuteCombinedBatch(std::span<CombinedChain* const> batch);
-
   // Fused entry: executes a whole command chain under ONE world-switch session, one audit
   // record per command (byte-identical replay vs. the equivalent Invoke-per-step stream).
   // Intra-chain dataflow uses slot refs; intermediates consumed inside the chain are retired
@@ -352,10 +333,6 @@ class DataPlane {
   // Boundary hardening shared by Invoke and Submit: validates a table ref (slot-tagged and
   // forged refs rejected) and maps it to its live array.
   Result<ResolvedInput> ResolveTableInput(OpaqueRef ref);
-  // The chain body shared by Submit and ExecuteCombinedBatch: executes one command chain under
-  // the caller's already-open session. The caller holds a boundary admission slot.
-  Result<SubmitResponse> SubmitUnderSession(const CmdBuffer& buffer, ExecTicket* ticket,
-                                            WorldSwitchGate::Session& session);
   // Executes one primitive over already-resolved inputs, filling the audit record's input/
   // output ids. Registration of outputs as table refs is the caller's concern: Invoke
   // registers everything, Submit only what survives the chain.
@@ -454,12 +431,12 @@ class DataPlane {
   std::atomic<uint64_t> audit_records_{0};
   std::atomic<uint64_t> egress_ctr_offset_{0};
 
-  // Boundary admission: every state-mutating boundary op (Invoke/Submit chain, combined batch,
-  // ingest, egress, release, audit flush) increments inflight_chains_ while holding this mutex
-  // for the increment. Checkpoint takes the refusal decision AND performs the whole seal under
-  // it, so "no chain is inside the TEE" cannot go stale between the check and the seal — in
-  // particular a combiner cannot admit a batch into that window. Ordering: admission_mu_ is
-  // outermost (it is only ever held alone, or by Checkpoint which then takes seq_mu_/audit_mu_).
+  // Boundary admission: every state-mutating boundary op (Invoke/Submit chain, ingest, egress,
+  // release, audit flush) increments inflight_chains_ while holding this mutex for the
+  // increment. Checkpoint takes the refusal decision AND performs the whole seal under it, so
+  // "no chain is inside the TEE" cannot go stale between the check and the seal — no worker
+  // can admit a chain into that window. Ordering: admission_mu_ is outermost (it is only ever
+  // held alone, or by Checkpoint which then takes seq_mu_/audit_mu_).
   mutable std::mutex admission_mu_;
   std::atomic<int> inflight_chains_{0};
 

@@ -513,7 +513,7 @@ Result<UArray*> PrimCountPerKey(const PrimitiveContext& ctx, const UArray& sorte
       ++count;
       ++i;
     }
-    SBT_RETURN_IF_ERROR(out->AppendValue(KeyValue{key, count}));
+    SBT_RETURN_IF_ERROR(out->AppendValue(KeyValue{.key = key, .value = count}));
   }
   out->Produce();
   return out;
@@ -535,7 +535,7 @@ Result<UArray*> PrimMedianPerKey(const PrimitiveContext& ctx, const UArray& sort
     }
     // Lower median of the ascending run.
     const PackedKV med = in[i + (end - i - 1) / 2];
-    SBT_RETURN_IF_ERROR(out->AppendValue(KeyValue{key, UnpackValue(med)}));
+    SBT_RETURN_IF_ERROR(out->AppendValue(KeyValue{.key = key, .value = UnpackValue(med)}));
     i = end;
   }
   out->Produce();
@@ -630,7 +630,7 @@ Result<UArray*> PrimAverage(const PrimitiveContext& ctx, const UArray& sumcnt) {
   SBT_ASSIGN_OR_RETURN(UArray * out, ctx.NewOutput(sizeof(KeyValue)));
   SBT_ASSIGN_OR_RETURN(KeyValue * dst, out->AppendUninitializedAs<KeyValue>(in.size()));
   for (const KeySumCount& c : in) {
-    *dst++ = KeyValue{c.key, c.count == 0 ? 0 : c.sum / c.count};
+    *dst++ = KeyValue{.key = c.key, .value = c.count == 0 ? 0 : c.sum / c.count};
   }
   out->Produce();
   return out;
@@ -662,7 +662,7 @@ Result<UArray*> PrimEwma(const PrimitiveContext& ctx, const UArray& state, const
           (static_cast<int64_t>(alpha_num) * o[j].value +
            static_cast<int64_t>(alpha_den - alpha_num) * s[i].value) /
           static_cast<int64_t>(alpha_den);
-      cell = KeyValue{s[i].key, blended};
+      cell = KeyValue{.key = s[i].key, .value = blended};
       ++i;
       ++j;
     }

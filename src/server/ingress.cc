@@ -31,39 +31,52 @@ void SourceSequencer::BumpFrontier(SourceState& st, EventTimeMs value) {
   st.frontier = value;
 }
 
-void SourceSequencer::OnData(uint32_t source, std::vector<uint8_t> bytes, uint64_t ctr_offset) {
+Result<SourceSequencer::SourceState*> SourceSequencer::FindLive(uint32_t source) {
   auto it = states_.find(source);
-  SBT_CHECK(it != states_.end() && !it->second.done);
+  if (it == states_.end()) {
+    return NotFound("sequencer: unknown source " + std::to_string(source));
+  }
+  if (it->second.done) {
+    return FailedPrecondition("sequencer: source " + std::to_string(source) + " already done");
+  }
+  return &it->second;
+}
+
+Status SourceSequencer::OnData(uint32_t source, std::vector<uint8_t> bytes,
+                               uint64_t ctr_offset) {
+  SBT_ASSIGN_OR_RETURN(SourceState* st, FindLive(source));
   Frame f;
   f.bytes = std::move(bytes);
   f.ctr_offset = ctr_offset;
-  it->second.buffer.push_back(std::move(f));
+  st->buffer.push_back(std::move(f));
+  return OkStatus();
 }
 
-void SourceSequencer::OnWatermark(uint32_t source, EventTimeMs value) {
-  auto it = states_.find(source);
-  SBT_CHECK(it != states_.end() && !it->second.done);
-  SourceState& st = it->second;
-  if (value <= st.frontier) {
-    return;  // regressed or repeated watermark: progress is monotone, drop it
+Status SourceSequencer::OnWatermark(uint32_t source, EventTimeMs value) {
+  SBT_ASSIGN_OR_RETURN(SourceState* st, FindLive(source));
+  if (value <= st->frontier) {
+    return OkStatus();  // regressed or repeated watermark: progress is monotone, drop it
   }
   Frame marker;
   marker.is_watermark = true;
   marker.watermark = value;
-  st.buffer.push_back(std::move(marker));
-  BumpFrontier(st, value);
+  st->buffer.push_back(std::move(marker));
+  BumpFrontier(*st, value);
   const EventTimeMs group_min = *frontiers_.begin();
   if (group_min > emitted_min_ && group_min != kEventTimeMax) {
     FlushUpTo(group_min);
   }
+  return OkStatus();
 }
 
-void SourceSequencer::OnDone(uint32_t source) {
+Status SourceSequencer::OnDone(uint32_t source) {
   auto it = states_.find(source);
-  SBT_CHECK(it != states_.end());
+  if (it == states_.end()) {
+    return NotFound("sequencer: unknown source " + std::to_string(source));
+  }
   SourceState& st = it->second;
   if (st.done) {
-    return;
+    return OkStatus();  // end-of-stream is idempotent
   }
   st.done = true;
   st.final_frontier = st.frontier;
@@ -72,12 +85,13 @@ void SourceSequencer::OnDone(uint32_t source) {
   ++done_count_;
   if (done_count_ == states_.size()) {
     Finalize();
-    return;
+    return OkStatus();
   }
   const EventTimeMs group_min = *frontiers_.begin();
   if (group_min > emitted_min_ && group_min != kEventTimeMax) {
     FlushUpTo(group_min);
   }
+  return OkStatus();
 }
 
 void SourceSequencer::FlushUpTo(EventTimeMs group_min) {
@@ -379,35 +393,52 @@ IngressFrontend::Device* IngressFrontend::FindDevice(TenantId tenant, uint32_t s
   return it == devices_.end() ? nullptr : it->second.get();
 }
 
-void IngressFrontend::DeliverLocalData(TenantId tenant, uint32_t source,
-                                       std::vector<uint8_t> bytes, uint64_t ctr_offset) {
+Status IngressFrontend::DeliverLocalData(TenantId tenant, uint32_t source,
+                                         std::vector<uint8_t> bytes, uint64_t ctr_offset) {
   Device* dev = FindDevice(tenant, source);
-  SBT_CHECK(dev != nullptr);
-  stats_.frames.fetch_add(1, std::memory_order_relaxed);
-  stats_.events.fetch_add(bytes.size() / dev->event_size, std::memory_order_relaxed);
-  dev->group->seq->OnData(source, std::move(bytes), ctr_offset);
-}
-
-void IngressFrontend::DeliverLocalWatermark(TenantId tenant, uint32_t source,
-                                            EventTimeMs value) {
-  Device* dev = FindDevice(tenant, source);
-  SBT_CHECK(dev != nullptr);
-  dev->group->seq->OnWatermark(source, value);
-}
-
-void IngressFrontend::DeliverLocalDone(TenantId tenant, uint32_t source) {
-  Device* dev = FindDevice(tenant, source);
-  SBT_CHECK(dev != nullptr);
-  MarkDone(dev);
-}
-
-void IngressFrontend::MarkDone(Device* dev) {
-  if (dev->done) {
-    return;
+  if (dev == nullptr) {
+    return NotFound("unprovisioned device " + std::to_string(source));
   }
+  const uint64_t events = bytes.size() / dev->event_size;
+  SBT_RETURN_IF_ERROR(Sequenced(dev->group->seq->OnData(source, std::move(bytes), ctr_offset)));
+  stats_.frames.fetch_add(1, std::memory_order_relaxed);
+  stats_.events.fetch_add(events, std::memory_order_relaxed);
+  return OkStatus();
+}
+
+Status IngressFrontend::DeliverLocalWatermark(TenantId tenant, uint32_t source,
+                                              EventTimeMs value) {
+  Device* dev = FindDevice(tenant, source);
+  if (dev == nullptr) {
+    return NotFound("unprovisioned device " + std::to_string(source));
+  }
+  return Sequenced(dev->group->seq->OnWatermark(source, value));
+}
+
+Status IngressFrontend::DeliverLocalDone(TenantId tenant, uint32_t source) {
+  Device* dev = FindDevice(tenant, source);
+  if (dev == nullptr) {
+    return NotFound("unprovisioned device " + std::to_string(source));
+  }
+  return MarkDone(dev);
+}
+
+Status IngressFrontend::MarkDone(Device* dev) {
+  if (dev->done) {
+    return OkStatus();
+  }
+  SBT_RETURN_IF_ERROR(Sequenced(dev->group->seq->OnDone(dev->source)));
   dev->done = true;
-  dev->group->seq->OnDone(dev->source);
   done_devices_.fetch_add(1, std::memory_order_release);
+  return OkStatus();
+}
+
+Status IngressFrontend::Sequenced(Status status) {
+  if (!status.ok()) {
+    stats_.sequencer_rejects.fetch_add(1, std::memory_order_relaxed);
+    SBT_LOG(Error) << "ingress: sequencer refused a device stream: " << status.ToString();
+  }
+  return status;
 }
 
 IngressFrontend::Stats IngressFrontend::stats() const {
@@ -419,6 +450,7 @@ IngressFrontend::Stats IngressFrontend::stats() const {
   s.dup_frames = stats_.dup_frames.load(std::memory_order_relaxed);
   s.reordered_dgrams = stats_.reordered_dgrams.load(std::memory_order_relaxed);
   s.skipped_dgrams = stats_.skipped_dgrams.load(std::memory_order_relaxed);
+  s.sequencer_rejects = stats_.sequencer_rejects.load(std::memory_order_relaxed);
   // Sequencer counters are IO-thread (or local-thread) state: safe after Stop()/finalize.
   for (const auto& [key, group] : groups_) {
     s.batches += group->seq->batches_out();
@@ -615,12 +647,15 @@ bool IngressFrontend::HandleMessage(Conn* conn, const wire::StreamMessage& msg) 
             return false;
           }
           ++dev->next_seq;
+          std::vector<uint8_t> bytes(data->payload.begin(), data->payload.end());
+          const Status sequenced =
+              Sequenced(dev->group->seq->OnData(dev->source, std::move(bytes), data->ctr_offset));
+          if (!sequenced.ok()) {
+            return false;  // a refusal closes this session; it never aborts the process
+          }
           stats_.frames.fetch_add(1, std::memory_order_relaxed);
           stats_.events.fetch_add(data->payload.size() / dev->event_size,
                                   std::memory_order_relaxed);
-          dev->group->seq->OnData(
-              dev->source, std::vector<uint8_t>(data->payload.begin(), data->payload.end()),
-              data->ctr_offset);
           return true;
         }
         case wire::MsgType::kWatermark: {
@@ -636,13 +671,13 @@ bool IngressFrontend::HandleMessage(Conn* conn, const wire::StreamMessage& msg) 
             return false;
           }
           ++dev->next_seq;
-          dev->group->seq->OnWatermark(dev->source, static_cast<EventTimeMs>(wm->value));
-          return true;
+          const auto value = static_cast<EventTimeMs>(wm->value);
+          return Sequenced(dev->group->seq->OnWatermark(dev->source, value)).ok();
         }
         case wire::MsgType::kBye: {
           const auto bye = wire::DecodeBye(msg.body);
           if (bye.has_value() && bye->final) {
-            MarkDone(dev);
+            (void)MarkDone(dev);  // a refusal is counted; the connection closes either way
           }
           return false;  // close the connection either way; device state persists
         }
@@ -747,19 +782,25 @@ void IngressFrontend::HandleDgram(const wire::Dgram& dgram) {
 
 void IngressFrontend::DeliverInOrder(Device* dev, const wire::Dgram& dgram) {
   switch (dgram.kind) {
-    case wire::DgramKind::kData:
-      stats_.frames.fetch_add(1, std::memory_order_relaxed);
-      stats_.events.fetch_add(dgram.payload.size() / dev->event_size,
-                              std::memory_order_relaxed);
-      dev->group->seq->OnData(dev->source,
-                              std::vector<uint8_t>(dgram.payload.begin(), dgram.payload.end()),
-                              dgram.ctr_offset);
+    case wire::DgramKind::kData: {
+      // UDP has no session to close: a refused datagram is counted and dropped.
+      std::vector<uint8_t> bytes(dgram.payload.begin(), dgram.payload.end());
+      const Status sequenced =
+          Sequenced(dev->group->seq->OnData(dev->source, std::move(bytes), dgram.ctr_offset));
+      if (sequenced.ok()) {
+        stats_.frames.fetch_add(1, std::memory_order_relaxed);
+        stats_.events.fetch_add(dgram.payload.size() / dev->event_size,
+                                std::memory_order_relaxed);
+      }
       break;
-    case wire::DgramKind::kWatermark:
-      dev->group->seq->OnWatermark(dev->source, static_cast<EventTimeMs>(dgram.watermark));
+    }
+    case wire::DgramKind::kWatermark: {
+      const auto value = static_cast<EventTimeMs>(dgram.watermark);
+      (void)Sequenced(dev->group->seq->OnWatermark(dev->source, value));
       break;
+    }
     case wire::DgramKind::kDone:
-      MarkDone(dev);
+      (void)MarkDone(dev);
       break;
   }
 }

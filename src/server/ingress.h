@@ -65,12 +65,14 @@ class SourceSequencer {
   void AddSource(uint32_t source);
 
   // Per-device stream events, in that device's order. OnData/OnWatermark may block on the
-  // group channel (admission backpressure). OnDone is the device's end-of-stream; once every
-  // registered device is done the sequencer flushes remainders, emits the final group
-  // watermark, and closes the channel.
-  void OnData(uint32_t source, std::vector<uint8_t> bytes, uint64_t ctr_offset);
-  void OnWatermark(uint32_t source, EventTimeMs value);
-  void OnDone(uint32_t source);
+  // group channel (admission backpressure). OnDone is the device's end-of-stream (repeats are
+  // no-ops); once every registered device is done the sequencer flushes remainders, emits the
+  // final group watermark, and closes the channel. These take remote input, so they never
+  // abort: an unregistered source is kNotFound, data or a watermark after OnDone is
+  // kFailedPrecondition, and a refused call changes no sequencer state.
+  Status OnData(uint32_t source, std::vector<uint8_t> bytes, uint64_t ctr_offset);
+  Status OnWatermark(uint32_t source, EventTimeMs value);
+  Status OnDone(uint32_t source);
 
   // Closes the channel without waiting for stragglers (unclean shutdown only — determinism
   // holds only for streams that ran to completion).
@@ -90,6 +92,8 @@ class SourceSequencer {
     std::multiset<EventTimeMs>::iterator frontier_it;
   };
 
+  // The registered, not-yet-done state of `source`, or the refusal OnData/OnWatermark return.
+  Result<SourceState*> FindLive(uint32_t source);
   void BumpFrontier(SourceState& st, EventTimeMs value);
   void FlushUpTo(EventTimeMs group_min);
   void Finalize();
@@ -178,11 +182,12 @@ class IngressFrontend {
   void Stop();
 
   // In-process delivery path: same grouping, same sequencers, no sockets. Single-threaded;
-  // never mix with Start().
-  void DeliverLocalData(TenantId tenant, uint32_t source, std::vector<uint8_t> bytes,
-                        uint64_t ctr_offset);
-  void DeliverLocalWatermark(TenantId tenant, uint32_t source, EventTimeMs value);
-  void DeliverLocalDone(TenantId tenant, uint32_t source);
+  // never mix with Start(). An unprovisioned device is kNotFound; a sequencer refusal is
+  // returned and counted in Stats::sequencer_rejects.
+  Status DeliverLocalData(TenantId tenant, uint32_t source, std::vector<uint8_t> bytes,
+                          uint64_t ctr_offset);
+  Status DeliverLocalWatermark(TenantId tenant, uint32_t source, EventTimeMs value);
+  Status DeliverLocalDone(TenantId tenant, uint32_t source);
 
   struct Stats {
     uint64_t sessions_accepted = 0;
@@ -193,6 +198,7 @@ class IngressFrontend {
     uint64_t reordered_dgrams = 0;
     uint64_t skipped_dgrams = 0;  // gap-skipped (lost) datagrams
     uint64_t batches = 0;         // coalesced batches pushed to the server
+    uint64_t sequencer_rejects = 0;  // device events the sequencer refused (session closed)
   };
   Stats stats() const;
 
@@ -214,7 +220,9 @@ class IngressFrontend {
   void HandleDgram(const wire::Dgram& dgram);
   void DeliverInOrder(Device* dev, const wire::Dgram& dgram);
   void CloseConn(int fd);
-  void MarkDone(Device* dev);
+  Status MarkDone(Device* dev);
+  // Passes a sequencer call's status through, counting a refusal in sequencer_rejects.
+  Status Sequenced(Status status);
 
   const IngressConfig config_;
   const TenantRegistry* registry_;
@@ -247,6 +255,7 @@ class IngressFrontend {
     std::atomic<uint64_t> dup_frames{0};
     std::atomic<uint64_t> reordered_dgrams{0};
     std::atomic<uint64_t> skipped_dgrams{0};
+    std::atomic<uint64_t> sequencer_rejects{0};
   };
   mutable AtomicStats stats_;
 };

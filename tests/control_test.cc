@@ -12,7 +12,6 @@
 #include "src/control/benchmarks.h"
 #include "src/control/harness.h"
 #include "src/control/lifecycle.h"
-#include "src/core/submit_combiner.h"
 #include "src/net/workloads.h"
 #include "tests/testing/testing.h"
 
@@ -386,11 +385,11 @@ TEST(ControlTest, FusedChainsCrossTheBoundaryOncePerSegment) {
   EXPECT_EQ(unfused - fused, 3u) << "a 4-primitive chain must pay 1 switch, not 4";
 }
 
-TEST(ControlTest, ConcurrentlyReadyChainsCombineIntoOneGateEntry) {
-  // The combining invariant, pinned deterministically: N chains ready at the same instant on
-  // one engine cross the boundary as exactly ONE world switch. Hold() keeps every submitter
-  // announced-but-waiting until the full ready set is queued; Release() lets one of them drain
-  // it all as a single batch under a single session.
+TEST(ControlTest, ChainsFromConcurrentWorkersPayOneEntryEachAndCommitInTicketOrder) {
+  // The per-core boundary, pinned deterministically: N chains submitted from N threads cross
+  // as N world switches — no thread executes another's chain — and their audit records still
+  // commit in ticket order. The threads run in REVERSE ticket order (each waits for its
+  // successor), so every retired record must wait in the ring until ticket 0 retires.
   constexpr int kChains = 4;
   DataPlane dp(testing::SmallDataPlaneConfig(/*decrypt_ingress=*/false));
   const auto events = testing::ConstantEvents(64);
@@ -402,9 +401,6 @@ TEST(ControlTest, ConcurrentlyReadyChainsCombineIntoOneGateEntry) {
     ASSERT_TRUE(info.ok());
     heads.push_back(info->ref);
   }
-
-  SubmitCombiner combiner;
-  combiner.Hold();
   std::vector<ExecTicket> tickets;
   std::vector<CmdBuffer> buffers(kChains);
   for (int i = 0; i < kChains; ++i) {
@@ -414,35 +410,49 @@ TEST(ControlTest, ConcurrentlyReadyChainsCombineIntoOneGateEntry) {
   }
 
   const uint64_t entries_before = dp.switch_stats().entries;
+  std::atomic<int> turn{kChains - 1};
   std::atomic<int> failures{0};
+  std::vector<size_t> open_after_retire(kChains);
   std::vector<std::thread> submitters;
   for (int i = 0; i < kChains; ++i) {
     submitters.emplace_back([&, i] {
-      auto resp = combiner.Apply(&dp, buffers[i], &tickets[i], /*retire_ticket=*/true);
+      while (turn.load(std::memory_order_acquire) != i) {
+        std::this_thread::yield();
+      }
+      auto resp = dp.Submit(buffers[i], &tickets[i]);
+      dp.RetireTicket(tickets[i]);
+      open_after_retire[i] = dp.open_tickets();
       if (!resp.ok() || resp->outputs[0].empty() || resp->outputs[0][0].ref == 0) {
         failures.fetch_add(1, std::memory_order_relaxed);
       }
+      turn.store(i - 1, std::memory_order_release);
     });
   }
-  while (combiner.queued() < kChains) {
-    std::this_thread::yield();
-  }
-  combiner.Release();
   for (std::thread& t : submitters) {
     t.join();
   }
 
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(dp.switch_stats().entries - entries_before, 1u)
-      << kChains << " concurrently-ready chains must share one world switch";
-  EXPECT_EQ(dp.switch_stats().combined_entries, 1u);
-  EXPECT_EQ(dp.switch_stats().combined_chains, static_cast<uint64_t>(kChains));
-  const SubmitCombiner::Stats cs = combiner.stats();
-  EXPECT_EQ(cs.batches, 1u);
-  EXPECT_EQ(cs.combined_batches, 1u);
-  EXPECT_EQ(cs.chains, static_cast<uint64_t>(kChains));
-  EXPECT_EQ(cs.max_batch, static_cast<uint64_t>(kChains));
-  EXPECT_EQ(dp.open_tickets(), 0u) << "the combiner retires tickets on submitters' behalf";
+  EXPECT_EQ(dp.switch_stats().entries - entries_before, static_cast<uint64_t>(kChains))
+      << "every chain pays its own world switch on its own thread";
+  for (int i = 1; i < kChains; ++i) {
+    EXPECT_EQ(open_after_retire[i], static_cast<size_t>(kChains))
+        << "nothing may commit while ticket 0 is open (chain " << i << ")";
+  }
+  EXPECT_EQ(dp.open_tickets(), 0u);
+
+  std::vector<AuditRecord> records;
+  dp.FlushAudit(&records);
+  std::vector<uint32_t> ingested;
+  std::vector<uint32_t> projected;
+  for (const AuditRecord& r : records) {
+    if (r.op == PrimitiveOp::kIngress) {
+      ingested.push_back(r.outputs.at(0));
+    } else if (r.op == PrimitiveOp::kProject) {
+      projected.push_back(r.inputs.at(0));
+    }
+  }
+  EXPECT_EQ(projected, ingested) << "chain records must commit in ticket order";
 }
 
 class ChainFailureTest : public ::testing::TestWithParam<bool> {};
@@ -500,7 +510,6 @@ TEST(ControlTest, ExecutionKnobsSetAtTheTopAreObservedAtTheBottom) {
   opts.secure_pool_mb = 8;
   opts.knobs.worker_threads = 3;
   opts.knobs.fuse_chains = false;
-  opts.knobs.combine_submissions = false;
   opts.knobs.lockfree_retire = false;
 
   const DataPlaneConfig dp_cfg = MakeEngineConfig(EngineVersion::kSbtClearIngress, opts);
@@ -510,11 +519,9 @@ TEST(ControlTest, ExecutionKnobsSetAtTheTopAreObservedAtTheBottom) {
 
   EXPECT_EQ(dp.config().knobs.worker_threads, 3);
   EXPECT_FALSE(dp.config().knobs.fuse_chains);
-  EXPECT_FALSE(dp.config().knobs.combine_submissions);
   EXPECT_FALSE(dp.config().knobs.lockfree_retire);
   EXPECT_EQ(runner.config().knobs.worker_threads, 3);
   EXPECT_FALSE(runner.config().knobs.fuse_chains);
-  EXPECT_FALSE(runner.config().knobs.combine_submissions);
   EXPECT_FALSE(runner.config().knobs.lockfree_retire);
 
   // Flipping one knob at the top reaches both layers; the others are untouched.
@@ -522,6 +529,10 @@ TEST(ControlTest, ExecutionKnobsSetAtTheTopAreObservedAtTheBottom) {
   EXPECT_TRUE(MakeEngineConfig(EngineVersion::kSbtClearIngress, opts).knobs.lockfree_retire);
   EXPECT_TRUE(MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts).knobs.lockfree_retire);
   EXPECT_FALSE(MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts).knobs.fuse_chains);
+  // The boundary-mode knob propagates the same way.
+  opts.knobs.fuse_chains = true;
+  EXPECT_TRUE(MakeEngineConfig(EngineVersion::kSbtClearIngress, opts).knobs.fuse_chains);
+  EXPECT_TRUE(MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts).knobs.fuse_chains);
   runner.Drain();
 }
 

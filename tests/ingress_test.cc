@@ -193,6 +193,75 @@ TEST(SourceSequencerTest, CutsBatchesAtTheCoalesceTargetAndDropsRegressedWaterma
   EXPECT_EQ(frames[2].watermark, 100u);
 }
 
+// The sequencer takes remote input: an unknown or finished source must be refused with a
+// Status, never abort the multi-tenant process, and a refused call must change nothing.
+
+TEST(SourceSequencerTest, OnDataFromUnknownOrFinishedSourceIsRefused) {
+  SourceSequencer seq(0, /*event_size=*/4, /*coalesce_events=*/64, /*channel_capacity=*/64);
+  seq.AddSource(1);
+  seq.AddSource(2);
+  EXPECT_EQ(seq.OnData(7, std::vector<uint8_t>(8, 0x77), 0).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(seq.OnDone(1).ok());
+  EXPECT_EQ(seq.OnData(1, std::vector<uint8_t>(8, 0x11), 0).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(seq.OnData(2, std::vector<uint8_t>(8, 0x22), 0).ok());
+  ASSERT_TRUE(seq.OnDone(2).ok());
+
+  ASSERT_TRUE(seq.finalized());
+  const auto frames = Drain(seq.channel());
+  ASSERT_EQ(frames.size(), 1u) << "only source 2's frame is flushed; no final watermark";
+  EXPECT_EQ(frames[0].bytes, std::vector<uint8_t>(8, 0x22));
+  EXPECT_EQ(seq.events_in(), 2u);
+}
+
+TEST(SourceSequencerTest, OnWatermarkFromUnknownOrFinishedSourceIsRefused) {
+  SourceSequencer seq(0, /*event_size=*/4, /*coalesce_events=*/64, /*channel_capacity=*/64);
+  seq.AddSource(1);
+  seq.AddSource(2);
+  EXPECT_EQ(seq.OnWatermark(7, 100).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(seq.OnDone(1).ok());
+  EXPECT_EQ(seq.OnWatermark(1, 100).code(), StatusCode::kFailedPrecondition);
+  // Neither refusal moved the group frontier: source 2 alone decides it.
+  ASSERT_TRUE(seq.OnData(2, std::vector<uint8_t>(8, 0x22), 0).ok());
+  ASSERT_TRUE(seq.OnWatermark(2, 50).ok());
+  const auto frames = Drain(seq.channel());
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_TRUE(frames[1].is_watermark);
+  EXPECT_EQ(frames[1].watermark, 50u);
+}
+
+TEST(SourceSequencerTest, OnDoneFromUnknownSourceIsRefused) {
+  SourceSequencer seq(0, /*event_size=*/4, /*coalesce_events=*/64, /*channel_capacity=*/64);
+  seq.AddSource(1);
+  EXPECT_EQ(seq.OnDone(7).code(), StatusCode::kNotFound);
+  EXPECT_FALSE(seq.finalized()) << "an unknown source must not count toward completion";
+  ASSERT_TRUE(seq.OnDone(1).ok());
+  EXPECT_TRUE(seq.finalized());
+  EXPECT_TRUE(seq.OnDone(1).ok()) << "a repeated end-of-stream is a no-op";
+}
+
+TEST(IngressFrontendTest, SequencerRefusalIsReturnedAndCounted) {
+  TenantRegistry registry;
+  ASSERT_TRUE(registry.Add(MakeTenantSpec(1, "sensors", MakeWinSum(1000), 8u << 20)).ok());
+  IngressConfig in_cfg;
+  in_cfg.num_shards = 1;
+  IngressFrontend frontend(in_cfg, &registry);
+  ASSERT_TRUE(frontend.Provision(1, 0).ok());
+  ASSERT_TRUE(frontend.Provision(1, 1).ok());
+
+  EXPECT_EQ(frontend.DeliverLocalData(1, 9, std::vector<uint8_t>(16, 0), 0).code(),
+            StatusCode::kNotFound);
+  ASSERT_TRUE(frontend.DeliverLocalDone(1, 0).ok());
+  const size_t event = MakeWinSum(1000).event_size();
+  EXPECT_EQ(frontend.DeliverLocalData(1, 0, std::vector<uint8_t>(event, 0), 0).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(frontend.DeliverLocalWatermark(1, 0, 1000).code(),
+            StatusCode::kFailedPrecondition);
+  const IngressFrontend::Stats stats = frontend.stats();
+  EXPECT_EQ(stats.sequencer_rejects, 2u);
+  EXPECT_EQ(stats.frames, 0u) << "a refused frame is not admitted";
+}
+
 // --- end-to-end over loopback ------------------------------------------------------------
 
 struct TestDeployment {
@@ -277,15 +346,15 @@ TEST(IngressEquivalenceTest, TcpFleetMatchesInProcessDeliveryByteForByte) {
   for (size_t i = 0; i < kDevices; ++i) {
     Generator gen(DeviceGen(spec, 100 + static_cast<uint32_t>(i), kEventsPerWindow, kWindows,
                             kBatch));
+    const auto dev = static_cast<uint32_t>(i);
     while (auto frame = gen.NextFrame()) {
-      if (frame->is_watermark) {
-        a.frontend->DeliverLocalWatermark(1, static_cast<uint32_t>(i), frame->watermark);
-      } else {
-        a.frontend->DeliverLocalData(1, static_cast<uint32_t>(i), std::move(frame->bytes),
-                                     frame->ctr_offset);
-      }
+      const Status delivered =
+          frame->is_watermark
+              ? a.frontend->DeliverLocalWatermark(1, dev, frame->watermark)
+              : a.frontend->DeliverLocalData(1, dev, std::move(frame->bytes), frame->ctr_offset);
+      ASSERT_TRUE(delivered.ok()) << delivered.ToString();
     }
-    a.frontend->DeliverLocalDone(1, static_cast<uint32_t>(i));
+    ASSERT_TRUE(a.frontend->DeliverLocalDone(1, dev).ok());
   }
   ASSERT_TRUE(a.frontend->AllSourcesDone());
   const ServerReport report_a = a.server->Shutdown();

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <map>
 #include <vector>
 
@@ -506,8 +507,50 @@ TEST_F(PrimitivesTest, UniqueAndCountPerKey) {
   ASSERT_TRUE(counts.ok());
   auto cspan = (*counts)->Span<KeyValue>();
   ASSERT_EQ(cspan.size(), 3u);
-  EXPECT_EQ(cspan[0], (KeyValue{1, 2}));
-  EXPECT_EQ(cspan[2], (KeyValue{9, 3}));
+  EXPECT_EQ(cspan[0], (KeyValue{.key = 1, .value = 2}));
+  EXPECT_EQ(cspan[2], (KeyValue{.key = 9, .value = 3}));
+}
+
+// Fills this thread's stack below the caller with a marker, so a primitive called next reuses
+// dirty stack slots — exactly what a worker thread hands its next chain.
+[[gnu::noinline]] void DirtyStack() {
+  volatile uint8_t junk[16384];
+  for (size_t i = 0; i < sizeof(junk); ++i) {
+    junk[i] = 0xab;
+  }
+}
+
+// KeyValue cells are egressed byte for byte. Bytes 4..7 (between key and value) must be zero
+// whatever the producing thread's stack held; as compiler padding they used to carry stack
+// bytes, so equal results encrypted to different blobs depending on which worker ran them.
+TEST_F(PrimitivesTest, KeyValueCellsCarryNoStackBytes) {
+  UArray* in = MakeKV({{1, 1}, {1, 2}, {4, 1}, {9, 0}, {9, 9}}, /*sorted=*/true);
+  const auto expect_zero_gap = [](const UArray& out) {
+    ASSERT_EQ(out.elem_size(), sizeof(KeyValue));
+    for (size_t off = 0; off < out.size_bytes(); off += sizeof(KeyValue)) {
+      for (size_t b = sizeof(uint32_t); b < offsetof(KeyValue, value); ++b) {
+        EXPECT_EQ(out.data()[off + b], 0u) << "cell " << off / sizeof(KeyValue) << " byte " << b;
+      }
+    }
+  };
+  DirtyStack();
+  auto counts = PrimCountPerKey(ctx_, *in);
+  ASSERT_TRUE(counts.ok());
+  expect_zero_gap(**counts);
+  DirtyStack();
+  auto medians = PrimMedianPerKey(ctx_, *in);
+  ASSERT_TRUE(medians.ok());
+  expect_zero_gap(**medians);
+  auto sumcnt = PrimSumCnt(ctx_, *in);
+  ASSERT_TRUE(sumcnt.ok());
+  DirtyStack();
+  auto avg = PrimAverage(ctx_, **sumcnt);
+  ASSERT_TRUE(avg.ok());
+  expect_zero_gap(**avg);
+  DirtyStack();
+  auto ewma = PrimEwma(ctx_, **counts, **avg, 1, 2);
+  ASSERT_TRUE(ewma.ok());
+  expect_zero_gap(**ewma);
 }
 
 TEST_F(PrimitivesTest, MedianPerKeyLowerMedian) {
@@ -516,8 +559,8 @@ TEST_F(PrimitivesTest, MedianPerKeyLowerMedian) {
   ASSERT_TRUE(out.ok());
   auto span = (*out)->Span<KeyValue>();
   ASSERT_EQ(span.size(), 2u);
-  EXPECT_EQ(span[0], (KeyValue{1, 20}));
-  EXPECT_EQ(span[1], (KeyValue{2, 4}));  // lower median of {4, 8}
+  EXPECT_EQ(span[0], (KeyValue{.key = 1, .value = 20}));
+  EXPECT_EQ(span[1], (KeyValue{.key = 2, .value = 4}));  // lower median of {4, 8}
 }
 
 TEST_F(PrimitivesTest, DedupDropsConsecutiveDuplicates) {
@@ -559,8 +602,8 @@ TEST_F(PrimitivesTest, AverageDividesSumByCount) {
   auto out = PrimAverage(ctx_, **arr);
   ASSERT_TRUE(out.ok());
   auto span = (*out)->Span<KeyValue>();
-  EXPECT_EQ(span[0], (KeyValue{1, 25}));
-  EXPECT_EQ(span[1], (KeyValue{2, 3}));
+  EXPECT_EQ(span[0], (KeyValue{.key = 1, .value = 25}));
+  EXPECT_EQ(span[1], (KeyValue{.key = 2, .value = 3}));
 }
 
 TEST_F(PrimitivesTest, EwmaBlendsStateAndObservation) {
@@ -571,16 +614,16 @@ TEST_F(PrimitivesTest, EwmaBlendsStateAndObservation) {
     (*arr)->Produce();
     return *arr;
   };
-  UArray* state = mk({{1, 100}, {3, 50}});
-  UArray* obs = mk({{1, 200}, {2, 80}});
+  UArray* state = mk({{.key = 1, .value = 100}, {.key = 3, .value = 50}});
+  UArray* obs = mk({{.key = 1, .value = 200}, {.key = 2, .value = 80}});
   // alpha = 1/2: key1 -> 150; key2 seeds at 80; key3 carries 50.
   auto out = PrimEwma(ctx_, *state, *obs, 1, 2);
   ASSERT_TRUE(out.ok());
   auto span = (*out)->Span<KeyValue>();
   ASSERT_EQ(span.size(), 3u);
-  EXPECT_EQ(span[0], (KeyValue{1, 150}));
-  EXPECT_EQ(span[1], (KeyValue{2, 80}));
-  EXPECT_EQ(span[2], (KeyValue{3, 50}));
+  EXPECT_EQ(span[0], (KeyValue{.key = 1, .value = 150}));
+  EXPECT_EQ(span[1], (KeyValue{.key = 2, .value = 80}));
+  EXPECT_EQ(span[2], (KeyValue{.key = 3, .value = 50}));
   EXPECT_EQ(PrimEwma(ctx_, *state, *obs, 3, 2).status().code(), StatusCode::kInvalidArgument);
 }
 

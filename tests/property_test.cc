@@ -512,7 +512,6 @@ struct WorkerSessionArtifacts {
 
 WorkerSessionArtifacts RunWorkerSession(const Pipeline& pipeline, WorkloadKind kind,
                                         int worker_threads, bool fuse_chains = true,
-                                        bool combine_submissions = true,
                                         bool lockfree_retire = true,
                                         bool drain_per_frame = false) {
   HarnessOptions opts;
@@ -532,7 +531,6 @@ WorkerSessionArtifacts RunWorkerSession(const Pipeline& pipeline, WorkloadKind k
     RunnerConfig rc;
     rc.knobs.worker_threads = worker_threads;
     rc.knobs.fuse_chains = fuse_chains;
-    rc.knobs.combine_submissions = combine_submissions;
     Runner runner(&dp, pipeline, rc);
     Generator gen(opts.generator);
     while (auto frame = gen.NextFrame()) {
@@ -670,52 +668,6 @@ TEST(WorkerEquivalence, HoldsUnderInjectedWorldSwitchFaults) {
   ExpectWorkerCountInvariant(one, RunWorkerSession(p, WorkloadKind::kTaxi, 8));
 }
 
-TEST(WorkerEquivalence, FlatCombiningOnVsOffIsByteIdentical) {
-  // Flat combining re-times world switches (one session drains a whole ready set, possibly on
-  // another worker's thread) but must not re-order anything externally visible: audit ids come
-  // from ticket reservations, records commit in ticket order, and hints are fixed at
-  // submission. Combining on/off — at several worker counts — is therefore byte-identical.
-  const Pipeline p = MakeDistinct(1000);
-  const WorkerSessionArtifacts off =
-      RunWorkerSession(p, WorkloadKind::kTaxi, 4, /*fuse_chains=*/true,
-                       /*combine_submissions=*/false);
-  ExpectWorkerCountInvariant(off, RunWorkerSession(p, WorkloadKind::kTaxi, 2,
-                                                   /*fuse_chains=*/true,
-                                                   /*combine_submissions=*/true));
-  ExpectWorkerCountInvariant(off, RunWorkerSession(p, WorkloadKind::kTaxi, 4,
-                                                   /*fuse_chains=*/true,
-                                                   /*combine_submissions=*/true));
-  ExpectWorkerCountInvariant(off, RunWorkerSession(p, WorkloadKind::kTaxi, 8,
-                                                   /*fuse_chains=*/true,
-                                                   /*combine_submissions=*/true));
-}
-
-TEST(WorkerEquivalence, FlatCombiningOnVsOffUnfusedBoundary) {
-  // Combining also fronts the call-per-primitive boundary (each step is a one-command chain on
-  // the combining queue, still under the chain's ticket); same invariant.
-  const Pipeline p = MakeDistinct(1000);
-  ExpectWorkerCountInvariant(
-      RunWorkerSession(p, WorkloadKind::kTaxi, 4, /*fuse_chains=*/false,
-                       /*combine_submissions=*/false),
-      RunWorkerSession(p, WorkloadKind::kTaxi, 4, /*fuse_chains=*/false,
-                       /*combine_submissions=*/true));
-}
-
-TEST(WorkerEquivalence, FlatCombiningHoldsUnderInjectedWorldSwitchFaults) {
-  // A combined batch's single entry can fault and re-issue like any other; faults burn cycles
-  // on whoever is combining but never touch the dataflow.
-  const Pipeline p = MakeDistinct(1000);
-  const WorkerSessionArtifacts base =
-      RunWorkerSession(p, WorkloadKind::kTaxi, 1, /*fuse_chains=*/true,
-                       /*combine_submissions=*/false);
-  testing::ScopedFailPoint fp("world_switch.fault",
-                              testing::ScopedFailPoint::Seeded(/*seed=*/42, /*num=*/1,
-                                                               /*den=*/8));
-  ExpectWorkerCountInvariant(base, RunWorkerSession(p, WorkloadKind::kTaxi, 8,
-                                                    /*fuse_chains=*/true,
-                                                    /*combine_submissions=*/true));
-}
-
 // --- lock-free retire equivalence --------------------------------------------------------
 //
 // The lock-free ticket ring (bounded MPSC reorder buffer, per-worker slot staging, frontier
@@ -725,8 +677,8 @@ TEST(WorkerEquivalence, FlatCombiningHoldsUnderInjectedWorldSwitchFaults) {
 // bit for bit at every worker count, every boundary mode, and under injected faults.
 
 WorkerSessionArtifacts RunLocked(const Pipeline& p, WorkloadKind kind, int workers,
-                                 bool fuse = true, bool combine = true) {
-  return RunWorkerSession(p, kind, workers, fuse, combine, /*lockfree_retire=*/false);
+                                 bool fuse = true) {
+  return RunWorkerSession(p, kind, workers, fuse, /*lockfree_retire=*/false);
 }
 
 TEST(LockfreeRetireEquivalence, LockedVsLockfreeAcrossWorkerCounts) {
@@ -745,15 +697,13 @@ TEST(LockfreeRetireEquivalence, PowerPipelineDeepCloseDag) {
                              RunWorkerSession(p, WorkloadKind::kPowerGrid, 8));
 }
 
-TEST(LockfreeRetireEquivalence, FusedAndCombinedBoundaryModes) {
-  // The retire path composes with both boundary optimizations: call-per-primitive, fused
-  // chains, and flat-combined submissions all stage records under the same tickets.
+TEST(LockfreeRetireEquivalence, FusedAndUnfusedBoundaryModes) {
+  // The retire path composes with both boundary modes: call-per-primitive steps and fused
+  // chains stage records under the same tickets.
   const Pipeline p = MakeDistinct(1000);
-  const std::pair<bool, bool> modes[] = {{false, false}, {true, true}, {false, true}};
-  for (const auto& [fuse, combine] : modes) {
-    ExpectWorkerCountInvariant(
-        RunLocked(p, WorkloadKind::kTaxi, 4, fuse, combine),
-        RunWorkerSession(p, WorkloadKind::kTaxi, 4, fuse, combine));
+  for (const bool fuse : {false, true}) {
+    ExpectWorkerCountInvariant(RunLocked(p, WorkloadKind::kTaxi, 4, fuse),
+                               RunWorkerSession(p, WorkloadKind::kTaxi, 4, fuse));
   }
 }
 
@@ -779,8 +729,7 @@ TEST(LockfreeRetireEquivalence, SeededAllocFaultsFailIdentically) {
     testing::ScopedFailPoint fp("secure_world.alloc_frame",
                                 testing::ScopedFailPoint::Seeded(/*seed=*/2026, /*num=*/1,
                                                                  /*den=*/7));
-    return RunWorkerSession(p, WorkloadKind::kTaxi, 1, /*fuse_chains=*/true,
-                            /*combine_submissions=*/true, lockfree,
+    return RunWorkerSession(p, WorkloadKind::kTaxi, 1, /*fuse_chains=*/true, lockfree,
                             /*drain_per_frame=*/true);
   };
   const WorkerSessionArtifacts locked = run(false);

@@ -29,7 +29,6 @@
 #include "src/control/benchmarks.h"
 #include "src/control/engine.h"
 #include "src/core/data_plane.h"
-#include "src/core/submit_combiner.h"
 #include "tests/testing/testing.h"
 
 namespace sbt {
@@ -44,10 +43,9 @@ DataPlaneConfig StressConfig() {
   return cfg;
 }
 
-RunnerConfig StressRunnerConfig(int workers, bool combine = true) {
+RunnerConfig StressRunnerConfig(int workers) {
   RunnerConfig rc;
   rc.knobs.worker_threads = workers;
-  rc.knobs.combine_submissions = combine;
   return rc;
 }
 
@@ -72,8 +70,7 @@ struct ContinuationArtifacts {
   uint64_t windows_emitted = 0;
 };
 
-void RunCheckpointedSession(int workers, ContinuationArtifacts* artifacts,
-                            bool combine = true) {
+void RunCheckpointedSession(int workers, ContinuationArtifacts* artifacts) {
   const Pipeline pipeline = MakeDistinct(1000);
   const DataPlaneConfig cfg = StressConfig();
   ContinuationArtifacts& out = *artifacts;
@@ -81,7 +78,7 @@ void RunCheckpointedSession(int workers, ContinuationArtifacts* artifacts,
   SealedCheckpoint sealed;
   {
     DataPlane dp(cfg);
-    Runner runner(&dp, pipeline, StressRunnerConfig(workers, combine));
+    Runner runner(&dp, pipeline, StressRunnerConfig(workers));
     for (uint32_t w = 0; w < 3; ++w) {
       for (int f = 0; f < 2; ++f) {
         const std::vector<Event> events = WindowEvents(w, 2000, 7 * w + f);
@@ -111,7 +108,7 @@ void RunCheckpointedSession(int workers, ContinuationArtifacts* artifacts,
 
   // Continue in a re-homed incarnation at the same worker count.
   DataPlane dp(cfg);
-  Runner runner(&dp, pipeline, StressRunnerConfig(workers, combine));
+  Runner runner(&dp, pipeline, StressRunnerConfig(workers));
   ASSERT_TRUE(EngineLifecycle(&dp, &runner).Restore(sealed).ok());
   for (uint32_t w = 3; w < 5; ++w) {
     for (int f = 0; f < 2; ++f) {
@@ -187,18 +184,6 @@ TEST_P(WorkerStress, CheckpointedContinuationMatchesSingleWorkerByteForByte) {
   RunCheckpointedSession(1, &reference);
   ContinuationArtifacts current;
   RunCheckpointedSession(GetParam(), &current);
-  ASSERT_FALSE(::testing::Test::HasFatalFailure());
-  ExpectContinuationsIdentical(current, reference);
-}
-
-TEST_P(WorkerStress, CheckpointedContinuationCombiningOffMatchesOn) {
-  // The flat-combining boundary must be invisible to the sealed checkpoint: an uncombined
-  // single-worker session is the reference, and a combined N-worker session that seals and
-  // restores mid-way must reproduce it byte for byte — uploads, egress blobs, chain MACs.
-  ContinuationArtifacts reference;
-  RunCheckpointedSession(1, &reference, /*combine=*/false);
-  ContinuationArtifacts current;
-  RunCheckpointedSession(GetParam(), &current, /*combine=*/true);
   ASSERT_FALSE(::testing::Test::HasFatalFailure());
   ExpectContinuationsIdentical(current, reference);
 }
@@ -294,13 +279,14 @@ INSTANTIATE_TEST_SUITE_P(WorkerCounts, WorkerStress, ::testing::Values(1, 2, 8))
 
 // --- 4. the checkpoint refusal decision is atomic with the seal --------------------------
 
-TEST(CheckpointRace, SealDecisionIsAtomicAgainstCombinedSubmission) {
+TEST(CheckpointRace, SealDecisionIsAtomicAgainstConcurrentSubmission) {
   // Regression for a check-then-act window: Checkpoint read inflight_chains()/open_tickets()
   // and then sealed without holding the boundary admission lock, so a chain admitted between
   // the decision and the seal could execute mid-snapshot. The stall failpoint pins the
-  // checkpoint thread inside exactly that window — now under admission_mu_ — while a combined
-  // submission races it; the racer must block at admission until the seal completes, and its
-  // audit record must land in the post-seal chain link, never the sealed one.
+  // checkpoint thread inside exactly that window — now under admission_mu_ — while a worker's
+  // Submit + RetireTicket races it; the racer must block at admission until the seal
+  // completes, and its audit record must land in the post-seal chain link, never the sealed
+  // one.
   DataPlane dp(testing::SmallDataPlaneConfig(/*decrypt_ingress=*/false));
   const auto events = testing::ConstantEvents(64);
   auto info =
@@ -318,15 +304,15 @@ TEST(CheckpointRace, SealDecisionIsAtomicAgainstCombinedSubmission) {
     std::this_thread::yield();  // decision made, seal pending: the window is open
   }
 
-  SubmitCombiner combiner;
   Result<SubmitResponse> raced = Internal("racer never ran");
   std::thread racer([&] {
     ExecTicket ticket = dp.OpenTicket(1);
     CmdBuffer one;
     one.Push(CmdBuffer::Entry{PrimitiveOp::kProject, {head}, {}, HintRequest::None()});
-    raced = combiner.Apply(&dp, one, &ticket, /*retire_ticket=*/true);
+    raced = dp.Submit(one, &ticket);
+    dp.RetireTicket(ticket);
   });
-  // The racer opens its ticket before its batch reaches admission; once the ticket is
+  // The racer opens its ticket before its chain reaches admission; once the ticket is
   // visible, give it a beat to block at the admission mutex, then let the seal proceed.
   while (dp.open_tickets() == 0) {
     std::this_thread::yield();

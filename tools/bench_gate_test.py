@@ -90,7 +90,7 @@ def test_absolute_metric_only_warns_by_default():
 
 
 def test_baseline_row_missing_from_run_fails():
-    base = [fig9_row(), fig9_row(series="combined")]
+    base = [fig9_row(), fig9_row(series="per-invoke")]
     cur = [fig9_row()]
     failures, _ = run_compare(base, cur)
     assert any("missing from run" in f for f in failures), failures
