@@ -173,7 +173,10 @@ Status Runner::IngestFrame(std::span<const uint8_t> frame, uint16_t stream,
   seg.params.window_slide_ms = pipeline_.window_slide_ms();
   seg.hint = LaneHint(kSegmentLaneBase +
                       (next_worker_lane_.load(std::memory_order_relaxed) * 7) % kLaneSlots);
-  auto windowed = dp_->Invoke(seg, &frame_ticket);
+  auto windowed = [&] {
+    SBT_TRACE_SPAN("frame.segment", frame_ticket.seq, ingested->elems);
+    return dp_->Invoke(seg, &frame_ticket);
+  }();
   dp_->RetireTicket(frame_ticket);
   if (!windowed.ok()) {
     return windowed.status();

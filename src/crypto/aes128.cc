@@ -131,20 +131,8 @@ Aes128Ctr::Aes128Ctr(const AesKey& key, std::span<const uint8_t> nonce12) : ciph
 
 // Helpers for the AES-NI path. Free functions (not lambdas) because GCC does not propagate
 // the target attribute into lambda bodies.
-__attribute__((target("aes,sse2"))) inline __m128i MakeCounterBlock(const uint8_t* nonce,
-                                                                    uint64_t ctr) {
-  alignas(16) uint8_t block[16];
-  std::memcpy(block, nonce, 12);
-  const uint32_t c = static_cast<uint32_t>(ctr);
-  block[12] = static_cast<uint8_t>(c >> 24);
-  block[13] = static_cast<uint8_t>(c >> 16);
-  block[14] = static_cast<uint8_t>(c >> 8);
-  block[15] = static_cast<uint8_t>(c);
-  return _mm_load_si128(reinterpret_cast<const __m128i*>(block));
-}
-
-__attribute__((target("aes,sse2"))) inline __m128i EncryptOne(const __m128i rk[kAesRounds + 1],
-                                                              __m128i b) {
+__attribute__((target("aes,ssse3"))) inline __m128i EncryptOne(
+    const __m128i rk[kAesRounds + 1], __m128i b) {
   b = _mm_xor_si128(b, rk[0]);
   for (size_t r = 1; r < kAesRounds; ++r) {
     b = _mm_aesenc_si128(b, rk[r]);
@@ -152,64 +140,76 @@ __attribute__((target("aes,sse2"))) inline __m128i EncryptOne(const __m128i rk[k
   return _mm_aesenclast_si128(b, rk[kAesRounds]);
 }
 
-// AES-NI CTR keystream: encrypts four counter blocks per iteration to fill the pipeline.
-__attribute__((target("aes,sse2"))) void CryptAesNi(const uint8_t* round_keys,
-                                                    const uint8_t* nonce, uint64_t counter,
-                                                    size_t skip, uint8_t* data, size_t len) {
+// Counter block `ctr_le + k`: the 32-bit counter sits little-endian in lane 3 of `ctr_le`, so
+// the add wraps exactly like the big-endian 32-bit counter; the shuffle byte-swaps it into
+// bytes 12..15 and zeroes the rest, which the nonce block fills.
+__attribute__((target("aes,ssse3"))) inline __m128i CounterBlock(__m128i nonce_block,
+                                                                __m128i ctr_le, int k) {
+  const __m128i bswap_lane3 = _mm_set_epi8(12, 13, 14, 15, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+                                           -1, -1, -1);
+  return _mm_or_si128(
+      nonce_block,
+      _mm_shuffle_epi8(_mm_add_epi32(ctr_le, _mm_set_epi32(k, 0, 0, 0)), bswap_lane3));
+}
+
+// XORs keystream bytes [from, from + n) of counter block `ctr_block` into data[0, n).
+__attribute__((target("aes,ssse3"))) inline void XorOneBlock(const __m128i rk[kAesRounds + 1],
+                                                            __m128i ctr_block, size_t from,
+                                                            uint8_t* data, size_t n) {
+  alignas(16) uint8_t ks[16];
+  _mm_store_si128(reinterpret_cast<__m128i*>(ks), EncryptOne(rk, ctr_block));
+  for (size_t i = 0; i < n; ++i) {
+    data[i] ^= ks[from + i];
+  }
+}
+
+// AES-NI CTR keystream: eight counter blocks in flight per iteration to fill the AESENC
+// pipeline, built in registers.
+__attribute__((target("aes,ssse3"))) void CryptAesNi(const uint8_t* round_keys,
+                                                     const uint8_t* nonce, uint64_t counter,
+                                                     size_t skip, uint8_t* data, size_t len) {
+  constexpr size_t kLanes = 8;
   __m128i rk[kAesRounds + 1];
   for (size_t i = 0; i <= kAesRounds; ++i) {
     rk[i] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(round_keys + i * 16));
   }
+  alignas(16) uint8_t nonce_bytes[16] = {};
+  std::memcpy(nonce_bytes, nonce, 12);
+  const __m128i nonce_block = _mm_load_si128(reinterpret_cast<const __m128i*>(nonce_bytes));
+  __m128i ctr_le = _mm_set_epi32(static_cast<int>(static_cast<uint32_t>(counter)), 0, 0, 0);
 
   size_t pos = 0;
   // Head: partial first block.
   if (skip != 0) {
-    alignas(16) uint8_t ks[16];
-    _mm_store_si128(reinterpret_cast<__m128i*>(ks),
-                    EncryptOne(rk, MakeCounterBlock(nonce, counter)));
-    const size_t n = std::min(kAesBlockSize - skip, len);
-    for (size_t i = 0; i < n; ++i) {
-      data[i] ^= ks[skip + i];
-    }
-    pos = n;
-    ++counter;
+    pos = std::min(kAesBlockSize - skip, len);
+    XorOneBlock(rk, CounterBlock(nonce_block, ctr_le, 0), skip, data, pos);
+    ctr_le = _mm_add_epi32(ctr_le, _mm_set_epi32(1, 0, 0, 0));
   }
-  // Body: 4 blocks at a time.
-  while (pos + 64 <= len) {
-    __m128i b0 = _mm_xor_si128(MakeCounterBlock(nonce, counter), rk[0]);
-    __m128i b1 = _mm_xor_si128(MakeCounterBlock(nonce, counter + 1), rk[0]);
-    __m128i b2 = _mm_xor_si128(MakeCounterBlock(nonce, counter + 2), rk[0]);
-    __m128i b3 = _mm_xor_si128(MakeCounterBlock(nonce, counter + 3), rk[0]);
-    for (size_t r = 1; r < kAesRounds; ++r) {
-      b0 = _mm_aesenc_si128(b0, rk[r]);
-      b1 = _mm_aesenc_si128(b1, rk[r]);
-      b2 = _mm_aesenc_si128(b2, rk[r]);
-      b3 = _mm_aesenc_si128(b3, rk[r]);
+  // Body: kLanes blocks at a time.
+  while (pos + kLanes * kAesBlockSize <= len) {
+    __m128i b[kLanes];
+    for (size_t k = 0; k < kLanes; ++k) {
+      b[k] = _mm_xor_si128(CounterBlock(nonce_block, ctr_le, static_cast<int>(k)), rk[0]);
     }
-    b0 = _mm_aesenclast_si128(b0, rk[kAesRounds]);
-    b1 = _mm_aesenclast_si128(b1, rk[kAesRounds]);
-    b2 = _mm_aesenclast_si128(b2, rk[kAesRounds]);
-    b3 = _mm_aesenclast_si128(b3, rk[kAesRounds]);
-
+    for (size_t r = 1; r < kAesRounds; ++r) {
+      for (size_t k = 0; k < kLanes; ++k) {
+        b[k] = _mm_aesenc_si128(b[k], rk[r]);
+      }
+    }
     __m128i* out = reinterpret_cast<__m128i*>(data + pos);
-    _mm_storeu_si128(out, _mm_xor_si128(_mm_loadu_si128(out), b0));
-    _mm_storeu_si128(out + 1, _mm_xor_si128(_mm_loadu_si128(out + 1), b1));
-    _mm_storeu_si128(out + 2, _mm_xor_si128(_mm_loadu_si128(out + 2), b2));
-    _mm_storeu_si128(out + 3, _mm_xor_si128(_mm_loadu_si128(out + 3), b3));
-    counter += 4;
-    pos += 64;
+    for (size_t k = 0; k < kLanes; ++k) {
+      b[k] = _mm_aesenclast_si128(b[k], rk[kAesRounds]);
+      _mm_storeu_si128(out + k, _mm_xor_si128(_mm_loadu_si128(out + k), b[k]));
+    }
+    ctr_le = _mm_add_epi32(ctr_le, _mm_set_epi32(kLanes, 0, 0, 0));
+    pos += kLanes * kAesBlockSize;
   }
   // Tail: block at a time.
   while (pos < len) {
-    alignas(16) uint8_t ks[16];
-    _mm_store_si128(reinterpret_cast<__m128i*>(ks),
-                    EncryptOne(rk, MakeCounterBlock(nonce, counter)));
     const size_t n = std::min(kAesBlockSize, len - pos);
-    for (size_t i = 0; i < n; ++i) {
-      data[pos + i] ^= ks[i];
-    }
+    XorOneBlock(rk, CounterBlock(nonce_block, ctr_le, 0), 0, data + pos, n);
+    ctr_le = _mm_add_epi32(ctr_le, _mm_set_epi32(1, 0, 0, 0));
     pos += n;
-    ++counter;
   }
 }
 
@@ -217,7 +217,8 @@ __attribute__((target("aes,sse2"))) void CryptAesNi(const uint8_t* round_keys,
 
 bool HardwareAesSupported() {
 #if defined(__x86_64__)
-  static const bool supported = __builtin_cpu_supports("aes") != 0;
+  static const bool supported =
+      __builtin_cpu_supports("aes") != 0 && __builtin_cpu_supports("ssse3") != 0;
   return supported;
 #else
   return false;

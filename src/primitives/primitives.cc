@@ -65,6 +65,132 @@ Result<UArray*> FilterCopy(const PrimitiveContext& ctx, const UArray& input, Pre
   return out;
 }
 
+// Caches the (first, last) window pair of the event-time span [lo, hi) the last lookup fell
+// in. Sliding-window membership only changes at window boundaries, so an in-order stream pays
+// the index arithmetic once per boundary instead of once per event. The indices are exactly
+// SlidingWindowFn's, computed with reciprocal multiplies instead of divides.
+class WindowSpanCache {
+ public:
+  explicit WindowSpanCache(const SlidingWindowFn& fn) : fn_(fn), slide_(fn.slide_ms) {}
+
+  // Returns true when `t` left the cached span; first/last then hold t's windows.
+  bool Locate(EventTimeMs t) {
+    if (t >= lo_ && t < hi_) {
+      return false;
+    }
+    const uint64_t size = fn_.size_ms;
+    const uint64_t slide = fn_.slide_ms;
+    last = slide_.Divide(t);
+    first = t < size ? 0 : slide_.Divide(static_cast<uint32_t>(t - size)) + 1;
+#ifndef NDEBUG
+    SBT_CHECK(first == fn_.FirstWindow(t) && last == fn_.LastWindow(t));
+#endif
+    // `last` holds on [last*slide, (last+1)*slide); `first` on [(first-1)*slide + size,
+    // first*slide + size), or on [0, size) for window 0.
+    lo_ = std::max(first == 0 ? 0 : (first - 1) * slide + size, last * slide);
+    hi_ = std::min(first * slide + size, (uint64_t{last} + 1) * slide);
+    return true;
+  }
+
+  uint32_t first = 0;
+  uint32_t last = 0;
+
+ private:
+  SlidingWindowFn fn_;
+  U32Divisor slide_;
+  uint64_t lo_ = 0;
+  uint64_t hi_ = 0;
+};
+
+// Widens the dense per-window count table (counts[i] belongs to window lo + i) to cover
+// windows [first, last]. The front grows by at least the table's size, so a descending stream
+// stays amortized linear like an ascending one.
+void CoverWindows(std::vector<size_t>& counts, uint32_t& lo, uint32_t first, uint32_t last) {
+  if (counts.empty()) {
+    lo = first;
+    counts.resize(static_cast<size_t>(last - first) + 1);
+    return;
+  }
+  if (first < lo) {
+    const size_t grow = std::min<size_t>(lo, std::max<size_t>(lo - first, counts.size()));
+    counts.insert(counts.begin(), grow, 0);
+    lo -= static_cast<uint32_t>(grow);
+  }
+  if (static_cast<size_t>(last - lo) >= counts.size()) {
+    counts.resize(static_cast<size_t>(last - lo) + 1);
+  }
+}
+
+// Segment over events of `kStride` bytes whose first field is the 32-bit event time.
+template <size_t kStride>
+Result<std::vector<SegmentOutput>> SegmentEvents(const PrimitiveContext& ctx,
+                                                 const uint8_t* base, size_t n,
+                                                 const SlidingWindowFn& window_fn) {
+  auto ts_of = [](const uint8_t* event) {
+    EventTimeMs ts;
+    std::memcpy(&ts, event, sizeof(ts));
+    return ts;
+  };
+
+  // Pass 1: per-window counts over the (small, dense) index range of this batch, counts[w -
+  // lo_idx]. With sliding windows each event counts toward every window covering it.
+  std::vector<size_t> counts;
+  uint32_t lo_idx = 0;
+  {
+    WindowSpanCache span(window_fn);
+    size_t* row = nullptr;
+    uint32_t width = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (span.Locate(ts_of(base + i * kStride))) {
+        CoverWindows(counts, lo_idx, span.first, span.last);
+        row = counts.data() + (span.first - lo_idx);
+        width = span.last - span.first + 1;
+      }
+      for (uint32_t k = 0; k < width; ++k) {
+        ++row[k];
+      }
+    }
+  }
+
+  // Pass 2: allocate one output per non-empty window and scatter sequentially. A
+  // consumed-in-parallel hint applies per output (the k outputs go to k different consumers),
+  // so each gets its own lane (paper §6.2 "(||k) prompts ... separate uGroups").
+  std::vector<SegmentOutput> outputs;
+  std::vector<uint8_t*> cursors(counts.size(), nullptr);
+  uint32_t lane_offset = 0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0) {
+      continue;
+    }
+    PrimitiveContext out_ctx = ctx;
+    if (out_ctx.hint.kind == PlacementHint::Kind::kConsumedInParallel) {
+      out_ctx.hint.parallel_lane += lane_offset++;
+    }
+    SBT_ASSIGN_OR_RETURN(UArray * out, out_ctx.NewOutput(kStride));
+    SBT_ASSIGN_OR_RETURN(uint8_t * dst, out->AppendUninitialized(counts[i]));
+    cursors[i] = dst;
+    outputs.push_back(SegmentOutput{lo_idx + static_cast<uint32_t>(i), out});
+  }
+  WindowSpanCache span(window_fn);
+  uint8_t** row = nullptr;
+  uint32_t width = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint8_t* event = base + i * kStride;
+    if (span.Locate(ts_of(event))) {
+      row = cursors.data() + (span.first - lo_idx);
+      width = span.last - span.first + 1;
+    }
+    for (uint32_t k = 0; k < width; ++k) {
+      std::memcpy(row[k], event, kStride);
+      row[k] += kStride;
+    }
+  }
+  for (SegmentOutput& o : outputs) {
+    o.events->Produce();
+  }
+  return outputs;
+}
+
 }  // namespace
 
 // --- Event-array primitives --------------------------------------------------
@@ -81,66 +207,9 @@ Result<std::vector<SegmentOutput>> PrimSegment(const PrimitiveContext& ctx, cons
   if (!window_fn.Valid()) {
     return InvalidArgument("Segment: invalid window spec (need 0 < slide <= size)");
   }
-
-  const uint8_t* base = events.data();
-  const size_t n = events.size();
-  std::vector<SegmentOutput> outputs;
-  if (n == 0) {
-    return outputs;
-  }
-  auto ts_of = [base, stride](size_t i) {
-    EventTimeMs ts;
-    std::memcpy(&ts, base + i * stride, sizeof(ts));
-    return ts;
-  };
-
-  // Pass 1: per-window counts over the (small, dense) index range of this batch. With sliding
-  // windows each event counts toward every window covering it.
-  uint32_t min_idx = std::numeric_limits<uint32_t>::max();
-  uint32_t max_idx = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const EventTimeMs ts = ts_of(i);
-    min_idx = std::min(min_idx, window_fn.FirstWindow(ts));
-    max_idx = std::max(max_idx, window_fn.LastWindow(ts));
-  }
-  std::vector<size_t> counts(static_cast<size_t>(max_idx - min_idx) + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const EventTimeMs ts = ts_of(i);
-    for (uint32_t w = window_fn.FirstWindow(ts); w <= window_fn.LastWindow(ts); ++w) {
-      ++counts[w - min_idx];
-    }
-  }
-
-  // Pass 2: allocate one output per non-empty window and scatter sequentially. A
-  // consumed-in-parallel hint applies per output (the k outputs go to k different consumers),
-  // so each gets its own lane (paper §6.2 "(||k) prompts ... separate uGroups").
-  std::vector<uint8_t*> cursors(counts.size(), nullptr);
-  uint32_t lane_offset = 0;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) {
-      continue;
-    }
-    PrimitiveContext out_ctx = ctx;
-    if (out_ctx.hint.kind == PlacementHint::Kind::kConsumedInParallel) {
-      out_ctx.hint.parallel_lane += lane_offset++;
-    }
-    SBT_ASSIGN_OR_RETURN(UArray * out, out_ctx.NewOutput(stride));
-    SBT_ASSIGN_OR_RETURN(uint8_t * dst, out->AppendUninitialized(counts[i]));
-    cursors[i] = dst;
-    outputs.push_back(SegmentOutput{min_idx + static_cast<uint32_t>(i), out});
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const EventTimeMs ts = ts_of(i);
-    for (uint32_t w = window_fn.FirstWindow(ts); w <= window_fn.LastWindow(ts); ++w) {
-      uint8_t*& cursor = cursors[w - min_idx];
-      std::memcpy(cursor, base + i * stride, stride);
-      cursor += stride;
-    }
-  }
-  for (SegmentOutput& o : outputs) {
-    o.events->Produce();
-  }
-  return outputs;
+  return stride == sizeof(Event)
+             ? SegmentEvents<sizeof(Event)>(ctx, events.data(), events.size(), window_fn)
+             : SegmentEvents<sizeof(PowerEvent)>(ctx, events.data(), events.size(), window_fn);
 }
 
 Result<UArray*> PrimFilterBand(const PrimitiveContext& ctx, const UArray& events, int32_t lo,

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <map>
@@ -13,6 +14,7 @@
 #include "src/control/harness.h"
 #include "src/control/lifecycle.h"
 #include "src/net/workloads.h"
+#include "src/obs/trace.h"
 #include "tests/testing/testing.h"
 
 namespace sbt {
@@ -328,6 +330,55 @@ TEST(ControlTest, WatermarkBeforeDataWindowStillEmitsLater) {
   runner.Drain();
   EXPECT_EQ(runner.stats().windows_emitted, 2u);
   EXPECT_EQ(runner.stats().task_errors, 0u);
+}
+
+// The control thread's Segment invoke carries its own span, nested in the frame's ingest span
+// on the same thread and ticket, so a trace splits per-frame ingest from segmentation.
+TEST(ControlTest, FrameSegmentSpanNestsInFrameIngest) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  const uint64_t sample_every = tracer.sample_every();
+  tracer.SetSampleEvery(1);
+  tracer.Drain();
+  {
+    HarnessOptions opts = SmallHarnessOptions();
+    DataPlaneConfig cfg = MakeEngineConfig(opts.version, opts.engine);
+    cfg.decrypt_ingress = false;
+    DataPlane dp(cfg);
+    Runner runner(&dp, MakeWinSum(1000), MakeRunnerConfig(opts.version, opts.engine));
+    std::vector<Event> events(100);
+    for (int i = 0; i < 100; ++i) {
+      events[i] = {.ts_ms = static_cast<EventTimeMs>(20 * i), .key = 1, .value = 1};
+    }
+    const std::span<const uint8_t> bytes(reinterpret_cast<const uint8_t*>(events.data()),
+                                         events.size() * sizeof(Event));
+    ASSERT_TRUE(runner.IngestFrame(bytes).ok());
+    ASSERT_TRUE(runner.IngestFrame(bytes).ok());
+    runner.Drain();
+  }
+  const std::vector<obs::TraceEvent> trace = tracer.Drain();
+  tracer.SetSampleEvery(sample_every);
+
+  auto named = [&trace](const char* name) {
+    std::vector<obs::TraceEvent> out;
+    for (const obs::TraceEvent& e : trace) {
+      if (std::strcmp(e.name, name) == 0 && e.phase == 'X') {
+        out.push_back(e);
+      }
+    }
+    return out;
+  };
+  const auto ingests = named("frame.ingest");
+  const auto segments = named("frame.segment");
+  ASSERT_EQ(ingests.size(), 2u);
+  ASSERT_EQ(segments.size(), 2u);
+  for (const obs::TraceEvent& seg : segments) {
+    EXPECT_EQ(seg.arg, 100u);  // events segmented
+    const bool nested = std::any_of(ingests.begin(), ingests.end(), [&](const auto& in) {
+      return in.tid == seg.tid && in.ticket == seg.ticket && in.ts_us <= seg.ts_us &&
+             seg.ts_us + seg.dur_us <= in.ts_us + in.dur_us;
+    });
+    EXPECT_TRUE(nested) << "frame.segment ticket " << seg.ticket;
+  }
 }
 
 TEST(ControlTest, DelayMsClampsClockSkew) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -118,6 +119,62 @@ TEST(Aes128CtrTest, OffsetCryptMatchesWholeStream) {
     std::vector<uint8_t> part(whole.begin() + off, whole.end());
     ctr.Crypt(std::span<uint8_t>(part.data(), part.size()), off);
     EXPECT_TRUE(std::equal(part.begin(), part.end(), expected.begin() + off)) << off;
+  }
+}
+
+// Keystream bytes [offset, offset + len) built block by block from the portable cipher:
+// counter block = nonce || 32-bit big-endian block number, wrapping modulo 2^32.
+std::vector<uint8_t> PortableKeystream(const AesKey& key, const std::vector<uint8_t>& nonce,
+                                       uint64_t offset, size_t len) {
+  const Aes128 aes(key);
+  std::vector<uint8_t> out;
+  for (uint64_t pos = offset; pos < offset + len; ++pos) {
+    uint8_t block[kAesBlockSize];
+    std::memcpy(block, nonce.data(), 12);
+    const uint32_t ctr = static_cast<uint32_t>(pos / kAesBlockSize);
+    block[12] = static_cast<uint8_t>(ctr >> 24);
+    block[13] = static_cast<uint8_t>(ctr >> 16);
+    block[14] = static_cast<uint8_t>(ctr >> 8);
+    block[15] = static_cast<uint8_t>(ctr);
+    aes.EncryptBlock(block);
+    out.push_back(block[pos % kAesBlockSize]);
+  }
+  return out;
+}
+
+// Crypt (the AES-NI path wherever HardwareAesSupported()) against the portable reference at
+// every head skip, across the 8-block body and the single-block tail.
+TEST(Aes128CtrTest, MatchesPortableKeystreamAtEveryOffsetAndLength) {
+  AesKey key{};
+  for (size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<uint8_t>(0x3c + 7 * i);
+  }
+  const std::vector<uint8_t> nonce = FromHex("f0f1f2f3f4f5f6f7f8f9fafb");
+  Aes128Ctr ctr(key, nonce);
+  const std::vector<uint8_t> keystream = PortableKeystream(key, nonce, 0, 48 + 300);
+  for (size_t offset = 0; offset < 48; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      std::vector<uint8_t> data(len, 0);
+      ctr.Crypt(std::span<uint8_t>(data.data(), data.size()), offset);
+      ASSERT_TRUE(std::equal(data.begin(), data.end(), keystream.begin() + offset))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Aes128CtrTest, CounterWrapsModulo2To32LikePortableKeystream) {
+  AesKey key{};
+  key[3] = 0xa5;
+  const std::vector<uint8_t> nonce(12, 0x17);
+  Aes128Ctr ctr(key, nonce);
+  for (const uint64_t offset : {(uint64_t{1} << 32) - 3, (uint64_t{1} << 32) - 12}) {
+    for (const uint64_t skip : {uint64_t{0}, uint64_t{5}}) {
+      const uint64_t start = offset * kAesBlockSize + skip;
+      const size_t len = 3 * 8 * kAesBlockSize + 9;
+      std::vector<uint8_t> data(len, 0);
+      ctr.Crypt(std::span<uint8_t>(data.data(), data.size()), start);
+      EXPECT_EQ(data, PortableKeystream(key, nonce, start, len)) << start;
+    }
   }
 }
 

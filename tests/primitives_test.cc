@@ -8,7 +8,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -234,6 +237,233 @@ TEST_F(PrimitivesTest, SegmentRejectsZeroWindow) {
   UArray* in = MakeEvents({{.ts_ms = 1, .key = 1, .value = 1}});
   EXPECT_EQ(PrimSegment(ctx_, *in, SlidingWindowFn{0, 0}).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// --- Segment differential test --------------------------------------------------
+//
+// PrimSegment computes window indices with reciprocal multiplies and caches the time span of
+// the current window pair. The oracle below is the plain division-per-event algorithm over
+// SlidingWindowFn; both must agree on window indices, per-window bytes and lane placement. (Its
+// window loops run on 64-bit counters: with slide 1, window UINT32_MAX exists.)
+
+Result<std::vector<SegmentOutput>> ReferenceSegment(const PrimitiveContext& ctx,
+                                                    const UArray& events,
+                                                    const SlidingWindowFn& window_fn) {
+  const size_t stride = events.elem_size();
+  const uint8_t* base = events.data();
+  const size_t n = events.size();
+  std::vector<SegmentOutput> outputs;
+  if (n == 0) {
+    return outputs;
+  }
+  auto ts_of = [base, stride](size_t i) {
+    EventTimeMs ts;
+    std::memcpy(&ts, base + i * stride, sizeof(ts));
+    return ts;
+  };
+  uint32_t min_idx = std::numeric_limits<uint32_t>::max();
+  uint32_t max_idx = 0;
+  for (size_t i = 0; i < n; ++i) {
+    min_idx = std::min(min_idx, window_fn.FirstWindow(ts_of(i)));
+    max_idx = std::max(max_idx, window_fn.LastWindow(ts_of(i)));
+  }
+  std::vector<size_t> counts(static_cast<size_t>(max_idx - min_idx) + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    for (uint64_t w = window_fn.FirstWindow(ts_of(i)); w <= window_fn.LastWindow(ts_of(i));
+         ++w) {
+      ++counts[w - min_idx];
+    }
+  }
+  std::vector<uint8_t*> cursors(counts.size(), nullptr);
+  uint32_t lane_offset = 0;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    if (counts[i] == 0) {
+      continue;
+    }
+    PrimitiveContext out_ctx = ctx;
+    if (out_ctx.hint.kind == PlacementHint::Kind::kConsumedInParallel) {
+      out_ctx.hint.parallel_lane += lane_offset++;
+    }
+    SBT_ASSIGN_OR_RETURN(UArray * out, out_ctx.NewOutput(stride));
+    SBT_ASSIGN_OR_RETURN(uint8_t * dst, out->AppendUninitialized(counts[i]));
+    cursors[i] = dst;
+    outputs.push_back(SegmentOutput{min_idx + static_cast<uint32_t>(i), out});
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (uint64_t w = window_fn.FirstWindow(ts_of(i)); w <= window_fn.LastWindow(ts_of(i));
+         ++w) {
+      std::memcpy(cursors[w - min_idx], base + i * stride, stride);
+      cursors[w - min_idx] += stride;
+    }
+  }
+  for (SegmentOutput& o : outputs) {
+    o.events->Produce();
+  }
+  return outputs;
+}
+
+// One output as the test observes it. Lanes are made visible by pre-seeding every lane the
+// segment may use with its own uGroup: an output lands in the group of the lane it was hinted
+// to, so the group id and slot pin the lane down.
+struct ObservedOutput {
+  uint32_t window_index = 0;
+  uint64_t array_id = 0;
+  uint64_t group_id = 0;
+  size_t offset_in_group = 0;
+  std::vector<uint8_t> bytes;
+
+  bool operator==(const ObservedOutput&) const = default;
+};
+
+constexpr uint32_t kSegmentTestLaneBase = 100;
+
+using SegmentFn = Result<std::vector<SegmentOutput>> (*)(const PrimitiveContext&, const UArray&,
+                                                          const SlidingWindowFn&);
+
+std::vector<ObservedOutput> RunSegment(SegmentFn segment, const std::vector<uint8_t>& raw,
+                                       size_t stride, const SlidingWindowFn& fn) {
+  TzPartitionConfig config = TestConfig();
+  config.group_reserve_bytes = 1u << 20;
+  SecureWorld world(config);
+  UArrayAllocator alloc(&world);
+  // One lane per non-empty window.
+  std::set<uint32_t> windows;
+  for (size_t i = 0; i < raw.size(); i += stride) {
+    EventTimeMs t;
+    std::memcpy(&t, raw.data() + i, sizeof(t));
+    for (uint64_t w = fn.FirstWindow(t); w <= fn.LastWindow(t); ++w) {
+      windows.insert(static_cast<uint32_t>(w));
+    }
+  }
+  for (size_t lane = 0; lane < windows.size(); ++lane) {
+    auto seed = alloc.Create(
+        stride, UArrayScope::kStreaming,
+        PlacementHint::Parallel(kSegmentTestLaneBase + static_cast<uint32_t>(lane)));
+    EXPECT_TRUE(seed.ok());
+    (*seed)->Produce();
+  }
+  auto input = alloc.Create(stride, UArrayScope::kStreaming);
+  EXPECT_TRUE(input.ok());
+  EXPECT_TRUE((*input)->Append(raw.data(), raw.size()).ok());
+  (*input)->Produce();
+
+  PrimitiveContext ctx;
+  ctx.alloc = &alloc;
+  ctx.hint = PlacementHint::Parallel(kSegmentTestLaneBase);
+  auto result = segment(ctx, **input, fn);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<ObservedOutput> observed;
+  if (!result.ok()) {
+    return observed;
+  }
+  for (const SegmentOutput& o : *result) {
+    const uint8_t* data = o.events->data();
+    observed.push_back(ObservedOutput{
+        .window_index = o.window_index,
+        .array_id = o.events->id(),
+        .group_id = o.events->group()->id(),
+        .offset_in_group = o.events->offset_in_group(),
+        .bytes = std::vector<uint8_t>(data, data + o.events->size() * stride),
+    });
+  }
+  return observed;
+}
+
+// Events of `stride` bytes with the given times and random payload bytes.
+std::vector<uint8_t> EventBytes(const std::vector<EventTimeMs>& times, size_t stride,
+                                uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<uint8_t> raw(times.size() * stride);
+  for (uint8_t& b : raw) {
+    b = static_cast<uint8_t>(rng.Next32());
+  }
+  for (size_t i = 0; i < times.size(); ++i) {
+    std::memcpy(raw.data() + i * stride, &times[i], sizeof(EventTimeMs));
+  }
+  return raw;
+}
+
+// Timestamp layouts over `span_windows` slides starting at `origin`.
+std::vector<std::vector<EventTimeMs>> TimeOrders(const SlidingWindowFn& fn, uint64_t origin,
+                                                 uint32_t span_windows, uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const uint64_t span = static_cast<uint64_t>(span_windows) * fn.slide_ms;
+  const uint64_t limit = std::min<uint64_t>(origin + span, std::numeric_limits<uint32_t>::max());
+  std::vector<EventTimeMs> in_order;
+  for (int i = 0; i < 400; ++i) {
+    in_order.push_back(static_cast<EventTimeMs>(origin + rng.NextBelow(limit - origin + 1)));
+  }
+  std::sort(in_order.begin(), in_order.end());
+  std::vector<EventTimeMs> shuffled = in_order;
+  for (size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[rng.NextBelow(i + 1)]);
+  }
+  std::vector<EventTimeMs> descending(in_order.rbegin(), in_order.rend());
+  std::vector<EventTimeMs> one_per_window;
+  for (uint64_t t = origin; t <= limit; t += fn.slide_ms) {
+    one_per_window.push_back(static_cast<EventTimeMs>(t));
+  }
+  return {in_order, shuffled, descending, one_per_window};
+}
+
+TEST(SegmentDifferentialTest, MatchesDivisionReference) {
+  const SlidingWindowFn fns[] = {
+      {1000, 1000}, {7, 7}, {1, 1},     // tumbling (slide 1 takes the divide-by-one path)
+      {1000, 250},  {4, 1}, {7, 1},     // sliding, size/slide 4 and 7
+      {7, 4},       {1000, 300},        // sliding, size not a multiple of slide
+  };
+  constexpr uint32_t kMax = std::numeric_limits<uint32_t>::max();
+  uint64_t seed = 1;
+  for (const SlidingWindowFn& fn : fns) {
+    // Edge times next to the epoch, the first window boundaries and the top of the range.
+    const std::vector<EventTimeMs> edges = {
+        0, fn.size_ms - 1, fn.size_ms, fn.size_ms + 1, fn.slide_ms - 1, fn.slide_ms, 0,
+        fn.size_ms, 2 * fn.size_ms + fn.slide_ms};
+    const std::vector<EventTimeMs> top = {kMax, kMax - 1, kMax - fn.size_ms, kMax,
+                                          kMax - fn.slide_ms, kMax - 2 * fn.size_ms + 1};
+    std::vector<std::vector<EventTimeMs>> batches = {edges, top};
+    for (uint64_t origin : {uint64_t{0}, uint64_t{fn.size_ms} * 1000 + 3,
+                            uint64_t{kMax} - uint64_t{40} * fn.slide_ms}) {
+      for (auto& order : TimeOrders(fn, origin, 40, ++seed)) {
+        batches.push_back(std::move(order));
+      }
+    }
+    for (const size_t stride : {sizeof(Event), sizeof(PowerEvent)}) {
+      for (size_t b = 0; b < batches.size(); ++b) {
+        const std::vector<uint8_t> raw = EventBytes(batches[b], stride, ++seed);
+        const auto expected = RunSegment(&ReferenceSegment, raw, stride, fn);
+        const auto actual = RunSegment(&PrimSegment, raw, stride, fn);
+        ASSERT_FALSE(expected.empty());
+        EXPECT_TRUE(actual == expected)
+            << "size " << fn.size_ms << " slide " << fn.slide_ms << " stride " << stride
+            << " batch " << b;
+      }
+    }
+  }
+}
+
+TEST(U32DivisorTest, MatchesHardwareDivide) {
+  constexpr uint64_t kTwo32 = uint64_t{1} << 32;
+  Xoshiro256 rng(99);
+  auto check = [](uint32_t d, uint32_t n) {
+    ASSERT_EQ(U32Divisor(d).Divide(n), n / d) << n << " / " << d;
+  };
+  for (uint32_t d = 1; d <= 65536; ++d) {
+    for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{d} - 1, uint64_t{d}, uint64_t{d} + 1,
+                       kTwo32 - d, kTwo32 - 1}) {
+      check(d, static_cast<uint32_t>(n));
+    }
+    for (int i = 0; i < 4; ++i) {
+      check(d, rng.Next32());
+    }
+  }
+  for (int i = 0; i < 100000; ++i) {
+    const uint32_t d = std::max<uint32_t>(rng.Next32(), 1);
+    check(d, rng.Next32());
+    check(d, d);
+    check(d, d - 1);
+    check(d, static_cast<uint32_t>(kTwo32 - 1));
+  }
 }
 
 TEST_F(PrimitivesTest, FilterBandKeepsHalfOpenRange) {
