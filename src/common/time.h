@@ -73,25 +73,6 @@ struct FixedWindowFn {
   }
 };
 
-// Divides 32-bit numerators by a fixed divisor with one multiply instead of a divide
-// instruction (Lemire, Kaser & Kurz 2019): with M = ceil(2^64 / d), n / d == high64(M * n)
-// exactly for every 32-bit n and every d >= 2. M does not fit 64 bits for d == 1, which is
-// special-cased as M == 0.
-class U32Divisor {
- public:
-  explicit U32Divisor(uint32_t d) : m_(d == 1 ? 0 : UINT64_MAX / d + 1) {}
-
-  uint32_t Divide(uint32_t n) const {
-    if (m_ == 0) {
-      return n;
-    }
-    return static_cast<uint32_t>((static_cast<unsigned __int128>(m_) * n) >> 64);
-  }
-
- private:
-  uint64_t m_;
-};
-
 // Sliding windows: window w = [w*slide, w*slide + size). An event belongs to every window
 // covering its time (size/slide of them). slide == size degenerates to fixed windows.
 struct SlidingWindowFn {

@@ -442,30 +442,6 @@ TEST(SegmentDifferentialTest, MatchesDivisionReference) {
   }
 }
 
-TEST(U32DivisorTest, MatchesHardwareDivide) {
-  constexpr uint64_t kTwo32 = uint64_t{1} << 32;
-  Xoshiro256 rng(99);
-  auto check = [](uint32_t d, uint32_t n) {
-    ASSERT_EQ(U32Divisor(d).Divide(n), n / d) << n << " / " << d;
-  };
-  for (uint32_t d = 1; d <= 65536; ++d) {
-    for (uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{d} - 1, uint64_t{d}, uint64_t{d} + 1,
-                       kTwo32 - d, kTwo32 - 1}) {
-      check(d, static_cast<uint32_t>(n));
-    }
-    for (int i = 0; i < 4; ++i) {
-      check(d, rng.Next32());
-    }
-  }
-  for (int i = 0; i < 100000; ++i) {
-    const uint32_t d = std::max<uint32_t>(rng.Next32(), 1);
-    check(d, rng.Next32());
-    check(d, d);
-    check(d, d - 1);
-    check(d, static_cast<uint32_t>(kTwo32 - 1));
-  }
-}
-
 TEST_F(PrimitivesTest, FilterBandKeepsHalfOpenRange) {
   UArray* in = MakeEvents({
       {.ts_ms = 0, .key = 1, .value = 5},

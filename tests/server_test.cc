@@ -323,10 +323,20 @@ TEST(EdgeServerTest, ShardBackpressureNeverStallsOtherShards) {
   const uint32_t noisy_shard = server.RouteOf(1, noisy_source);
   Generator noisy_gen(
       SourceGenConfig(noisy_spec, WorkloadKind::kFilterable, 30000, 6, /*watermark_lag=*/6));
+  bool stalled = false;
   while (auto frame = noisy_gen.NextFrame()) {
     EXPECT_TRUE(noisy_channel.Push(std::move(*frame)));
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (noisy_channel.size() > 0 || server.shard_snapshot(noisy_shard).queue_depth > 0) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        stalled = true;
+        break;
+      }
       std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    if (stalled) {
+      ADD_FAILURE() << "noisy shard stopped draining its queue";
+      break;
     }
   }
   noisy_channel.Close();

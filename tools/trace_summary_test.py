@@ -89,17 +89,6 @@ def test_perfbench_spans_are_one_thread():
     assert rows[("perfbench", "runner.watermark")]["busy_us"] == 1.0
 
 
-def test_control_thread_splits_frame_ingest_into_decrypt_and_segment():
-    # The runner's control thread nests tee.ingest (decrypt + copy) and frame.segment inside
-    # each frame.ingest span; each nested name reads as its own part of the thread's time.
-    rows = rows_by_key(jsonl([chrome("frame.ingest", 1, 0, 100), chrome("tee.ingest", 1, 0, 40),
-                              chrome("frame.segment", 1, 40, 50)]))
-    assert rows[("7:1", "frame.ingest")]["busy_pct"] == 100.0
-    assert rows[("7:1", "tee.ingest")]["busy_pct"] == 40.0
-    assert rows[("7:1", "frame.segment")]["busy_pct"] == 50.0
-    assert rows[("7:1", "frame.segment")]["share_pct"] == 100.0
-
-
 def test_main_filters_by_name_prefix():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.jsonl")
