@@ -45,9 +45,9 @@ inline std::string_view EngineVersionName(EngineVersion v) {
 
 struct EngineOptions {
   size_t secure_pool_mb = 512;
-  // The shared execution knobs (worker_threads / fuse_chains / lockfree_retire), declared
-  // once in src/core/exec_knobs.h and propagated to both layer configs by
-  // ApplyExecutionKnobs. Every knob is byte-neutral (property-tested).
+  // The shared execution knobs (worker_threads / fuse_chains), declared once in
+  // src/core/exec_knobs.h and consumed by the Runner (MakeRunnerConfig copies them). Every
+  // knob is byte-neutral (property-tested).
   ExecutionKnobs knobs;
   bool use_hints = true;
   PlacementPolicy placement = PlacementPolicy::kHintGuided;
@@ -66,7 +66,6 @@ inline DataPlaneConfig MakeEngineConfig(EngineVersion version, const EngineOptio
   }
   cfg.ingress_nonce.fill(0x01);
   cfg.egress_nonce.fill(0x02);
-  ApplyExecutionKnobs(opts.knobs, &cfg, nullptr);
 
   switch (version) {
     case EngineVersion::kStreamBoxTz:
@@ -88,7 +87,7 @@ inline DataPlaneConfig MakeEngineConfig(EngineVersion version, const EngineOptio
 
 inline RunnerConfig MakeRunnerConfig(EngineVersion version, const EngineOptions& opts) {
   RunnerConfig rc;
-  ApplyExecutionKnobs(opts.knobs, nullptr, &rc);
+  rc.knobs = opts.knobs;
   rc.use_hints = opts.use_hints;
   rc.ingest_path = (version == EngineVersion::kSbtIoViaOs) ? IngestPath::kViaOs
                                                            : IngestPath::kTrustedIo;

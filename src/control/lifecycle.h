@@ -28,22 +28,8 @@
 
 #include "src/control/runner.h"
 #include "src/core/data_plane.h"
-#include "src/core/exec_knobs.h"
 
 namespace sbt {
-
-// The single propagation point for the shared execution knobs: a knob set once at the top
-// (EngineOptions, TenantSpec, a bench flag) reaches every layer through this call, never by
-// hand-copied fields.
-inline void ApplyExecutionKnobs(const ExecutionKnobs& knobs, DataPlaneConfig* dp_cfg,
-                                RunnerConfig* runner_cfg) {
-  if (dp_cfg != nullptr) {
-    dp_cfg->knobs = knobs;
-  }
-  if (runner_cfg != nullptr) {
-    runner_cfg->knobs = knobs;
-  }
-}
 
 class EngineLifecycle {
  public:

@@ -39,6 +39,7 @@
 
 #include "src/control/pipeline.h"
 #include "src/core/data_plane.h"
+#include "src/core/exec_knobs.h"
 #include "src/obs/metrics.h"
 
 namespace sbt {

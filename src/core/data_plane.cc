@@ -127,11 +127,9 @@ DataPlane::DataPlane(const DataPlaneConfig& config)
                                              config_.metric_labels);
   m_ring_full_stalls_ = reg.GetCounter("sbt_ticket_ring_full_stalls_total",
                                        config_.metric_labels);
-  if (config_.knobs.lockfree_retire) {
-    ring_ = std::make_unique<TicketSlot[]>(kRingSlots);
-    for (uint64_t i = 0; i < kRingSlots; ++i) {
-      ring_[i].tag.store(SlotTag(i, kSlotFree), std::memory_order_relaxed);
-    }
+  ring_ = std::make_unique<TicketSlot[]>(kRingSlots);
+  for (uint64_t i = 0; i < kRingSlots; ++i) {
+    ring_[i].tag.store(SlotTag(i, kSlotFree), std::memory_order_relaxed);
   }
 }
 
@@ -184,15 +182,10 @@ void DataPlane::AppendAudit(AuditRecord record, ExecTicket* ticket) {
   if (ticket != nullptr) {
     // Staged: the record reaches the log (and gets its timestamp) when the ticket commits in
     // program order, not when this out-of-order execution happened to produce it.
-    if (config_.knobs.lockfree_retire) {
-      // Lock-free staging: between kOpen and kSlotRetired exactly one thread — the one
-      // executing this ticket's operation — touches the slot, so no lock guards the vector.
-      // The kSlotRetired release-store publishes the records to the frontier committer.
-      ring_[ticket->seq & (kRingSlots - 1)].records.push_back(std::move(record));
-      return;
-    }
-    std::lock_guard<std::mutex> lock(seq_mu_);
-    staged_[ticket->seq].records.push_back(std::move(record));
+    // Lock-free staging: between kOpen and kSlotRetired exactly one thread — the one executing
+    // this ticket's operation — touches the slot, so no lock guards the vector. The
+    // kSlotRetired release-store publishes the records to the frontier committer.
+    ring_[ticket->seq & (kRingSlots - 1)].records.push_back(std::move(record));
     return;
   }
   std::lock_guard<std::mutex> lock(audit_mu_);
@@ -201,78 +194,41 @@ void DataPlane::AppendAudit(AuditRecord record, ExecTicket* ticket) {
 
 ExecTicket DataPlane::OpenTicket(uint32_t reserve_ids) {
   ExecTicket ticket;
-  if (config_.knobs.lockfree_retire) {
-    // Program order comes from the caller (the control thread opens tickets in submission
-    // order), so a relaxed increment suffices; ReserveIds is an atomic bump in the allocator.
-    // Nothing here takes a lock.
-    ticket.seq = next_ticket_seq_.fetch_add(1, std::memory_order_relaxed);
-    if (reserve_ids > 0) {
-      ticket.ids.next = alloc_.ReserveIds(reserve_ids);
-      ticket.ids.end = ticket.ids.next + reserve_ids;
-    }
-    TicketSlot& slot = ring_[ticket.seq & (kRingSlots - 1)];
-    const uint64_t want = SlotTag(ticket.seq, kSlotFree);
-    if (slot.tag.load(std::memory_order_acquire) != want) {
-      // Ring full: the slot's previous lap (seq - kRingSlots) has not committed yet. The
-      // opener waits — the bounded buffer's natural backpressure on the control thread.
-      m_ring_full_stalls_->Add(1);
-      while (slot.tag.load(std::memory_order_acquire) != want) {
-        std::this_thread::yield();
-      }
-    }
-    slot.open_cycles = ReadCycleCounter();
-    slot.tag.store(SlotTag(ticket.seq, kSlotOpen), std::memory_order_release);
-    return ticket;
-  }
-  std::lock_guard<std::mutex> lock(seq_mu_);
+  // Program order comes from the caller (the control thread opens tickets in submission
+  // order), so a relaxed increment suffices; ReserveIds is an atomic bump in the allocator.
+  // Nothing here takes a lock.
   ticket.seq = next_ticket_seq_.fetch_add(1, std::memory_order_relaxed);
   if (reserve_ids > 0) {
     ticket.ids.next = alloc_.ReserveIds(reserve_ids);
     ticket.ids.end = ticket.ids.next + reserve_ids;
   }
-  StagedTicket staged;
-  staged.open_cycles = ReadCycleCounter();
-  staged_.emplace(ticket.seq, std::move(staged));
+  TicketSlot& slot = ring_[ticket.seq & (kRingSlots - 1)];
+  const uint64_t want = SlotTag(ticket.seq, kSlotFree);
+  if (slot.tag.load(std::memory_order_acquire) != want) {
+    // Ring full: the slot's previous lap (seq - kRingSlots) has not committed yet. The opener
+    // waits — the bounded buffer's natural backpressure on the control thread.
+    m_ring_full_stalls_->Add(1);
+    while (slot.tag.load(std::memory_order_acquire) != want) {
+      std::this_thread::yield();
+    }
+  }
+  slot.open_cycles = ReadCycleCounter();
+  slot.tag.store(SlotTag(ticket.seq, kSlotOpen), std::memory_order_release);
   return ticket;
 }
 
 void DataPlane::RetireTicket(const ExecTicket& ticket) {
-  if (config_.knobs.lockfree_retire) {
-    TicketSlot& slot = ring_[ticket.seq & (kRingSlots - 1)];
-    SBT_CHECK(slot.tag.load(std::memory_order_relaxed) == SlotTag(ticket.seq, kSlotOpen));
-    m_ticket_latency_cycles_->Observe(ReadCycleCounter() - slot.open_cycles);
-    // In-flight tickets at this instant IS the reorder-buffer depth: open, or retired but
-    // blocked behind an open predecessor. The serial-section suspect, measured where it forms.
-    const uint64_t depth = next_ticket_seq_.load(std::memory_order_relaxed) -
-                           commit_next_seq_.load(std::memory_order_relaxed);
-    m_ticket_reorder_depth_->Observe(depth);
-    SBT_TRACE_INSTANT("ticket.retire", ticket.seq, depth);
-    slot.tag.store(SlotTag(ticket.seq, kSlotRetired), std::memory_order_release);
-    CommitFrontierLockfree();
-    return;
-  }
-  std::lock_guard<std::mutex> lock(seq_mu_);
-  const auto it = staged_.find(ticket.seq);
-  SBT_CHECK(it != staged_.end());
-  it->second.retired = true;
-  // staged_.size() at this instant IS the reorder-buffer depth: tickets open or committed-
-  // blocked behind an open predecessor. The serial-section suspect, measured where it forms.
-  m_ticket_latency_cycles_->Observe(ReadCycleCounter() - it->second.open_cycles);
-  m_ticket_reorder_depth_->Observe(staged_.size());
-  SBT_TRACE_INSTANT("ticket.retire", ticket.seq, staged_.size());
-  // Commit every ticket the chain head now reaches, oldest first. audit_mu_ nests inside
-  // seq_mu_ here (the only place both are held), so no two retiring threads can interleave
-  // their committed batches.
-  std::lock_guard<std::mutex> audit_lock(audit_mu_);
-  while (!staged_.empty() &&
-         staged_.begin()->first == commit_next_seq_.load(std::memory_order_relaxed) &&
-         staged_.begin()->second.retired) {
-    for (AuditRecord& record : staged_.begin()->second.records) {
-      StampAndAppendLocked(std::move(record));
-    }
-    staged_.erase(staged_.begin());
-    commit_next_seq_.fetch_add(1, std::memory_order_relaxed);
-  }
+  TicketSlot& slot = ring_[ticket.seq & (kRingSlots - 1)];
+  SBT_CHECK(slot.tag.load(std::memory_order_relaxed) == SlotTag(ticket.seq, kSlotOpen));
+  m_ticket_latency_cycles_->Observe(ReadCycleCounter() - slot.open_cycles);
+  // In-flight tickets at this instant IS the reorder-buffer depth: open, or retired but blocked
+  // behind an open predecessor. The serial-section suspect, measured where it forms.
+  const uint64_t depth = next_ticket_seq_.load(std::memory_order_relaxed) -
+                         commit_next_seq_.load(std::memory_order_relaxed);
+  m_ticket_reorder_depth_->Observe(depth);
+  SBT_TRACE_INSTANT("ticket.retire", ticket.seq, depth);
+  slot.tag.store(SlotTag(ticket.seq, kSlotRetired), std::memory_order_release);
+  CommitFrontierLockfree();
 }
 
 void DataPlane::CommitFrontierLockfree() {
@@ -317,14 +273,10 @@ void DataPlane::CommitFrontierLockfree() {
 }
 
 size_t DataPlane::open_tickets() const {
-  if (config_.knobs.lockfree_retire) {
-    // Exact once the control plane has drained (the only caller that needs exactness —
-    // Checkpoint under admission_mu_); a racy snapshot otherwise, like staged_.size() was.
-    return static_cast<size_t>(next_ticket_seq_.load(std::memory_order_relaxed) -
-                               commit_next_seq_.load(std::memory_order_relaxed));
-  }
-  std::lock_guard<std::mutex> lock(seq_mu_);
-  return staged_.size();
+  // Exact once the control plane has drained (the only caller that needs exactness —
+  // Checkpoint under admission_mu_); a racy snapshot otherwise.
+  return static_cast<size_t>(next_ticket_seq_.load(std::memory_order_relaxed) -
+                             commit_next_seq_.load(std::memory_order_relaxed));
 }
 
 Result<DataPlane::ResolvedInput> DataPlane::ResolveTableInput(OpaqueRef ref) {
@@ -440,7 +392,6 @@ Result<SubmitResponse> DataPlane::Submit(const CmdBuffer& buffer, ExecTicket* ti
 
     PrimitiveContext ctx;
     ctx.alloc = &alloc_;
-    ctx.sort_impl = config_.sort_impl;
     ctx.generation = static_cast<uint64_t>(cmd.op);
     // A ticketed chain's outputs take the ids reserved at ticket-open time (program order), so
     // the audit stream cannot see which worker executed the chain, or when. The cursor lives in
@@ -823,21 +774,11 @@ Result<DataPlane::CheckpointBundle> DataPlane::Checkpoint(std::span<const uint8_
   if (open_tickets() != 0) {
     m_checkpoint_refusals_->Add(1);
     bool any_open = false;
-    if (config_.knobs.lockfree_retire) {
-      const uint64_t next = next_ticket_seq_.load(std::memory_order_relaxed);
-      for (uint64_t seq = commit_next_seq_.load(std::memory_order_acquire);
-           seq != next && !any_open; ++seq) {
-        const uint64_t tag = ring_[seq % kRingSlots].tag.load(std::memory_order_acquire);
-        any_open = tag == SlotTag(seq, kSlotOpen);
-      }
-    } else {
-      std::lock_guard<std::mutex> lock(seq_mu_);
-      for (const auto& [seq, staged] : staged_) {
-        if (!staged.retired) {
-          any_open = true;
-          break;
-        }
-      }
+    const uint64_t next = next_ticket_seq_.load(std::memory_order_relaxed);
+    for (uint64_t seq = commit_next_seq_.load(std::memory_order_acquire);
+         seq != next && !any_open; ++seq) {
+      const uint64_t tag = ring_[seq % kRingSlots].tag.load(std::memory_order_acquire);
+      any_open = tag == SlotTag(seq, kSlotOpen);
     }
     if (any_open) {
       m_refuse_ticket_->Add(1);

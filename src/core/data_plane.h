@@ -39,7 +39,6 @@
 #include "src/common/time.h"
 #include "src/core/checkpoint.h"
 #include "src/core/cmd_buffer.h"
-#include "src/core/exec_knobs.h"
 #include "src/core/opaque_ref.h"
 #include "src/crypto/aes128.h"
 #include "src/crypto/sha256.h"
@@ -62,7 +61,6 @@ struct DataPlaneConfig {
   TzPartitionConfig partition;
   WorldSwitchConfig switch_cost;
   PlacementPolicy placement = PlacementPolicy::kHintGuided;
-  SortImpl sort_impl = SortImpl::kAuto;
 
   // Ingress security (Table 5): decrypt AES-128-CTR frames on ingestion.
   bool decrypt_ingress = true;
@@ -82,12 +80,6 @@ struct DataPlaneConfig {
   // uploads (the worker-count equivalence property tests compare whole uploads, MACs included).
   // Freshness delays are meaningless in this mode; never enable it in a deployment.
   bool logical_audit_timestamps = false;
-
-  // Shared execution knobs (src/core/exec_knobs.h). The data plane consumes only
-  // knobs.lockfree_retire — the ring vs. legacy reorder buffer; both produce byte-identical
-  // audit streams (property-tested). The rest ride along so one struct propagates top to
-  // bottom unchanged.
-  ExecutionKnobs knobs;
 
   // Who this plane is, for seals, reports, and replication frames. The chain-position fields
   // are ignored here — they are stamped at seal time. Standalone harnesses leave it zeroed.
@@ -306,8 +298,6 @@ class DataPlane {
                ? adaptive_threshold_.load(std::memory_order_relaxed)
                : config_.backpressure_threshold;
   }
-  // The construction-time config (knob-observation tests read knobs through this).
-  const DataPlaneConfig& config() const { return config_; }
   SecureMemoryStats memory_stats() const { return world_.stats(); }
   WorldSwitchStats switch_stats() const { return gate_.stats(); }
   DataPlaneCycleStats cycle_stats() const;
@@ -375,7 +365,7 @@ class DataPlane {
   Sha256Digest chain_head_{};     // guarded by audit_mu_; zeros until the first upload
   uint64_t logical_ts_ = 0;       // guarded by audit_mu_ (logical_audit_timestamps mode)
 
-  // --- Ticket reorder buffer, lock-free ring implementation (config_.lockfree_retire) ---
+  // --- Ticket reorder buffer: a lock-free ring ---
   //
   // A bounded ring indexed by ticket seq: ticket s lives in slot s % kRingSlots. Each slot
   // carries a tag word encoding (seq << kPhaseBits) | phase; the phase walks
@@ -412,19 +402,6 @@ class DataPlane {
   // Frontier-commit election + batch drain; called after a slot flips to kRetired.
   void CommitFrontierLockfree();
 
-  // --- Legacy locked reorder buffer (config_.lockfree_retire == false) ---
-  // Staged record batches keyed by ticket seq, committed in seq order as tickets retire.
-  // Lock order: seq_mu_ before audit_mu_, never the reverse.
-  struct StagedTicket {
-    std::vector<AuditRecord> records;
-    bool retired = false;
-    uint64_t open_cycles = 0;  // ReadCycleCounter() at OpenTicket, for open->retire latency
-  };
-  mutable std::mutex seq_mu_;
-  std::map<uint64_t, StagedTicket> staged_;  // guarded by seq_mu_; next/commit seq are the
-                                             // atomics above (locked path mutates them under
-                                             // seq_mu_ with relaxed ordering)
-
   std::atomic<uint64_t> invoke_cycles_{0};
   std::atomic<uint64_t> memmgmt_cycles_{0};
   std::atomic<uint64_t> audit_cycles_{0};
@@ -436,7 +413,7 @@ class DataPlane {
   // increment. Checkpoint takes the refusal decision AND performs the whole seal under it, so
   // "no chain is inside the TEE" cannot go stale between the check and the seal — no worker
   // can admit a chain into that window. Ordering: admission_mu_ is outermost (it is only ever
-  // held alone, or by Checkpoint which then takes seq_mu_/audit_mu_).
+  // held alone, or by Checkpoint which then takes audit_mu_).
   mutable std::mutex admission_mu_;
   std::atomic<int> inflight_chains_{0};
 
@@ -466,7 +443,7 @@ class DataPlane {
   bool has_seal_base_ = false;
   uint64_t seal_base_seq_ = 0;     // chain position of the previous seal
   Sha256Digest seal_base_head_{};
-  // Serial-section attribution for the lock-free retire path (fig7 reads these).
+  // Serial-section attribution for the retire ring (fig7 reads these).
   obs::Histogram* m_commit_stall_cycles_;     // cycles inside a frontier-commit drain
   obs::Histogram* m_commit_batch_tickets_;    // tickets committed per frontier drain
   obs::Counter* m_ring_full_stalls_;          // OpenTicket waits for its slot's previous lap

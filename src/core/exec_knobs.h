@@ -1,13 +1,9 @@
-// The execution knobs shared by every layer of an engine.
+// The execution knobs of an engine: worker_threads and fuse_chains.
 //
-// worker_threads / fuse_chains / lockfree_retire used to live as loose fields duplicated across
-// EngineOptions, RunnerConfig, and DataPlaneConfig with hand-copied propagation — a knob set at
-// the top could silently fail to reach the bottom. They now live here once; each layer's config
-// embeds the struct, and the single propagation point is ApplyExecutionKnobs
-// (src/control/lifecycle.h). Every knob is byte-neutral: any setting yields the same audit
-// chain, egress blobs, and verifier verdict (property-tested in tests/property_test.cc); they
-// trade only performance. There is no submission-combining knob: world switches are per-core,
-// so every worker submits its own chains and pays its own entry (README, "Per-core boundary").
+// Both are declared here once. EngineOptions carries them from the top and MakeRunnerConfig
+// copies them into RunnerConfig; the Runner is their only consumer. Every knob is
+// byte-neutral: any setting yields the same audit chain, egress blobs, and verifier verdict
+// (property-tested in tests/property_test.cc); they trade only performance.
 
 #ifndef SRC_CORE_EXEC_KNOBS_H_
 #define SRC_CORE_EXEC_KNOBS_H_
@@ -20,9 +16,6 @@ struct ExecutionKnobs {
   // Command-buffer fusion: one world switch per primitive chain (default). Off reproduces the
   // call-per-primitive boundary for the fig9 comparison series. Consumed by the Runner.
   bool fuse_chains = true;
-  // Lock-free ticket retire (default). Off selects the legacy mutex-guarded reorder buffer.
-  // Consumed by the DataPlane.
-  bool lockfree_retire = true;
 };
 
 }  // namespace sbt

@@ -354,8 +354,7 @@ Result<UArray*> PrimSort(const PrimitiveContext& ctx, const UArray& kv) {
     ctx.alloc->Retire(scratch);
     return scratch_buf.status();
   }
-  SortI64(std::span<int64_t>(dst, in.size()), std::span<int64_t>(*scratch_buf, in.size()),
-          ctx.sort_impl);
+  SortI64(std::span<int64_t>(dst, in.size()), std::span<int64_t>(*scratch_buf, in.size()));
   scratch->Produce();
   ctx.alloc->Retire(scratch);
   out->Produce();
@@ -372,8 +371,7 @@ Result<UArray*> PrimMerge(const PrimitiveContext& ctx, const UArray& a, const UA
 
   SBT_ASSIGN_OR_RETURN(UArray * out, ctx.NewOutput(sizeof(PackedKV), scope));
   SBT_ASSIGN_OR_RETURN(int64_t * dst, out->AppendUninitializedAs<int64_t>(a.size() + b.size()));
-  MergeI64(a.Span<int64_t>(), b.Span<int64_t>(),
-           std::span<int64_t>(dst, a.size() + b.size()), ctx.sort_impl);
+  MergeI64(a.Span<int64_t>(), b.Span<int64_t>(), std::span<int64_t>(dst, a.size() + b.size()));
   out->Produce();
   return out;
 }

@@ -40,12 +40,11 @@ struct JoinRow {
 };
 static_assert(sizeof(JoinRow) == 12);
 
-// Per-invocation context: where outputs are placed and which kernel flavor to use.
+// Per-invocation context: where outputs are placed and which ids they take.
 struct PrimitiveContext {
   UArrayAllocator* alloc = nullptr;
   PlacementHint hint = PlacementHint::None();
   uint64_t generation = 0;
-  SortImpl sort_impl = SortImpl::kAuto;
   // When set, outputs take the next id from this pre-reserved range (deterministic audit ids
   // under out-of-order parallel execution); exhausted or absent, the shared counter decides.
   IdReservation* ids = nullptr;

@@ -218,15 +218,12 @@ Result<EdgeServer::Engine*> EdgeServer::CreateEngine(Shard& shard, const TenantS
   // here with its new shard label; the old series simply stops moving.
   const obs::MetricLabels labels = EngineMetricLabels(spec.name, shard.index);
 
-  // One knob set drives both layers through the one propagation point; the data-plane config
-  // itself comes from the shared recipe every construction site uses.
-  ExecutionKnobs knobs;
-  knobs.worker_threads = workers;
+  // The data-plane config comes from the shared recipe every construction site uses.
   const DataPlaneConfig dp_cfg = MakeEngineDataPlaneConfig(
-      spec, identity, knobs, config_.switch_cost, config_.logical_audit_timestamps, labels);
+      spec, identity, config_.switch_cost, config_.logical_audit_timestamps, labels);
 
   RunnerConfig rc;
-  ApplyExecutionKnobs(knobs, nullptr, &rc);
+  rc.knobs.worker_threads = workers;
   rc.metric_labels = labels;
   rc.ingest_path = IngestPath::kTrustedIo;
   // kShed tenants drop at the data-plane door instead of blocking inside IngestFrame.
@@ -728,10 +725,8 @@ Status EdgeServer::AdoptEngine(Shard& shard, ReplicaSession::PromotedEngine pe) 
     workers = std::max(1, std::min(workers, remaining));
   }
   const obs::MetricLabels labels = EngineMetricLabels(spec->name, shard.index);
-  ExecutionKnobs knobs;
-  knobs.worker_threads = workers;
   RunnerConfig rc;
-  ApplyExecutionKnobs(knobs, nullptr, &rc);
+  rc.knobs.worker_threads = workers;
   rc.metric_labels = labels;
   rc.ingest_path = IngestPath::kTrustedIo;
   rc.block_on_backpressure = spec->admission == AdmissionPolicy::kStall;

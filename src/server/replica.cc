@@ -163,7 +163,6 @@ size_t EnginePartitionBytes(const TenantSpec& spec) {
 }
 
 DataPlaneConfig MakeEngineDataPlaneConfig(const TenantSpec& spec, const EngineIdentity& identity,
-                                          const ExecutionKnobs& knobs,
                                           const WorldSwitchConfig& switch_cost,
                                           bool logical_audit_timestamps,
                                           obs::MetricLabels labels) {
@@ -182,7 +181,6 @@ DataPlaneConfig MakeEngineDataPlaneConfig(const TenantSpec& spec, const EngineId
   cfg.logical_audit_timestamps = logical_audit_timestamps;
   cfg.identity = identity;
   cfg.metric_labels = std::move(labels);
-  ApplyExecutionKnobs(knobs, &cfg, nullptr);
   return cfg;
 }
 
@@ -211,8 +209,7 @@ Status ReplicaSession::Apply(SealArtifact artifact) {
     SBT_RETURN_IF_ERROR(
         verifier->AcceptResume(artifact.identity().chain_seq, artifact.identity().chain_head));
     auto dp = std::make_unique<DataPlane>(MakeEngineDataPlaneConfig(
-        *spec, artifact.identity(), options_.knobs, options_.switch_cost,
-        options_.logical_audit_timestamps,
+        *spec, artifact.identity(), options_.switch_cost, options_.logical_audit_timestamps,
         obs::MetricLabels{{"tenant", spec->name}, {"role", "standby"}}));
     SBT_ASSIGN_OR_RETURN(std::vector<uint8_t> annex, dp->Restore(artifact.sealed));
 

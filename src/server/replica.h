@@ -40,7 +40,6 @@
 #include "src/control/runner.h"
 #include "src/core/checkpoint.h"
 #include "src/core/data_plane.h"
-#include "src/core/exec_knobs.h"
 #include "src/server/tenant.h"
 #include "src/tz/world_switch.h"
 
@@ -75,7 +74,6 @@ size_t EnginePartitionBytes(const TenantSpec& spec);
 // operator restore, and replica pre-apply — a restored plane is configured exactly like the
 // original, whichever path built it.
 DataPlaneConfig MakeEngineDataPlaneConfig(const TenantSpec& spec, const EngineIdentity& identity,
-                                          const ExecutionKnobs& knobs,
                                           const WorldSwitchConfig& switch_cost,
                                           bool logical_audit_timestamps,
                                           obs::MetricLabels labels);
@@ -83,8 +81,6 @@ DataPlaneConfig MakeEngineDataPlaneConfig(const TenantSpec& spec, const EngineId
 class ReplicaSession {
  public:
   struct Options {
-    // Execution knobs for the standby planes (byte-neutral; property-tested).
-    ExecutionKnobs knobs;
     WorldSwitchConfig switch_cost = WorldSwitchConfig::Disabled();
     bool logical_audit_timestamps = false;
   };

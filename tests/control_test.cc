@@ -552,38 +552,28 @@ TEST(ControlTest, PipelineExportsMatchingVerifierSpec) {
   EXPECT_EQ(spec.per_window_stages[2].op, PrimitiveOp::kCount);
 }
 
-// The shared execution knobs are declared once (src/core/exec_knobs.h) and flow through one
-// propagation point (ApplyExecutionKnobs): a knob set at the very top — EngineOptions — is
-// observable at the very bottom, on the live DataPlane's and Runner's own configs, with no
-// hand-copied per-layer field anywhere on the way down.
+// The shared execution knobs are declared once (src/core/exec_knobs.h) and consumed by the
+// Runner alone: a knob set at the very top — EngineOptions — is observable on the live
+// Runner's own config, with no hand-copied field on the way down.
 TEST(ControlTest, ExecutionKnobsSetAtTheTopAreObservedAtTheBottom) {
   EngineOptions opts;
   opts.secure_pool_mb = 8;
   opts.knobs.worker_threads = 3;
   opts.knobs.fuse_chains = false;
-  opts.knobs.lockfree_retire = false;
 
-  const DataPlaneConfig dp_cfg = MakeEngineConfig(EngineVersion::kSbtClearIngress, opts);
-  const RunnerConfig rc = MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts);
-  DataPlane dp(dp_cfg);
-  Runner runner(&dp, MakeWinSum(1000), rc);
+  DataPlane dp(MakeEngineConfig(EngineVersion::kSbtClearIngress, opts));
+  Runner runner(&dp, MakeWinSum(1000), MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts));
 
-  EXPECT_EQ(dp.config().knobs.worker_threads, 3);
-  EXPECT_FALSE(dp.config().knobs.fuse_chains);
-  EXPECT_FALSE(dp.config().knobs.lockfree_retire);
   EXPECT_EQ(runner.config().knobs.worker_threads, 3);
   EXPECT_FALSE(runner.config().knobs.fuse_chains);
-  EXPECT_FALSE(runner.config().knobs.lockfree_retire);
 
-  // Flipping one knob at the top reaches both layers; the others are untouched.
-  opts.knobs.lockfree_retire = true;
-  EXPECT_TRUE(MakeEngineConfig(EngineVersion::kSbtClearIngress, opts).knobs.lockfree_retire);
-  EXPECT_TRUE(MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts).knobs.lockfree_retire);
+  // Flipping one knob at the top reaches the runner; the other is untouched.
+  opts.knobs.worker_threads = 5;
+  EXPECT_EQ(MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts).knobs.worker_threads, 5);
   EXPECT_FALSE(MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts).knobs.fuse_chains);
-  // The boundary-mode knob propagates the same way.
   opts.knobs.fuse_chains = true;
-  EXPECT_TRUE(MakeEngineConfig(EngineVersion::kSbtClearIngress, opts).knobs.fuse_chains);
   EXPECT_TRUE(MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts).knobs.fuse_chains);
+  EXPECT_EQ(MakeRunnerConfig(EngineVersion::kSbtClearIngress, opts).knobs.worker_threads, 5);
   runner.Drain();
 }
 

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <map>
+#include <string>
 
 #include "src/attest/compress.h"
 #include "src/attest/verifier.h"
@@ -17,6 +19,7 @@
 #include "src/control/harness.h"
 #include "src/control/lifecycle.h"
 #include "src/crypto/sha256.h"
+#include "src/obs/metrics.h"
 #include "src/primitives/primitives.h"
 #include "src/primitives/simd_kernels.h"
 #include "src/primitives/vec_sort.h"
@@ -495,11 +498,17 @@ TEST(FusedEquivalence, HoldsUnderInjectedWorldSwitchFaults) {
 //
 // Elastic intra-engine parallelism must be externally invisible: the audit hash chain (the
 // WHOLE upload — raw bytes, compressed blob, MAC, chain position), the egress blobs, and the
-// verifier's replay verdict are byte-identical for every worker_threads value. These sessions
-// run free (no per-frame drain): workers genuinely race, execute chains out of order, and the
-// ticket sequencing + watermark-ordered completion stage must put everything back in program
-// order. logical_audit_timestamps replaces the wall clock so even record timestamps — and
-// therefore the upload MACs — compare byte-for-byte.
+// verifier's replay verdict are byte-identical for every worker_threads value, both boundary
+// modes, and under injected faults. The sessions under test run free (no per-frame drain):
+// workers genuinely race, execute chains out of order, and the retire ring (per-worker slot
+// staging, frontier batch-commit) plus the watermark-ordered completion stage must put
+// everything back in program order. logical_audit_timestamps replaces the wall clock so even
+// record timestamps — and therefore the upload MACs — compare byte-for-byte.
+//
+// Each is compared against a pinned reference that never reorders tickets: one worker,
+// drained after every frame. The reference proves this of itself — its
+// sbt_ticket_commit_batch_tickets histogram must read Sum == Count, i.e. every frontier drain
+// committed exactly one ticket, so the ring never held a retired ticket behind an open one.
 
 struct WorkerSessionArtifacts {
   std::vector<WindowResult> results;
@@ -510,10 +519,8 @@ struct WorkerSessionArtifacts {
   uint64_t ingest_failures = 0;
 };
 
-WorkerSessionArtifacts RunWorkerSession(const Pipeline& pipeline, WorkloadKind kind,
-                                        int worker_threads, bool fuse_chains = true,
-                                        bool lockfree_retire = true,
-                                        bool drain_per_frame = false) {
+// 3 windows of 12000 events, in 4000-event frames.
+HarnessOptions WorkerSessionOptions(WorkloadKind kind) {
   HarnessOptions opts;
   opts.version = EngineVersion::kSbtClearIngress;
   opts.engine.secure_pool_mb = 64;
@@ -521,11 +528,23 @@ WorkerSessionArtifacts RunWorkerSession(const Pipeline& pipeline, WorkloadKind k
   opts.generator.num_windows = 3;
   opts.generator.workload.kind = kind;
   opts.generator.workload.events_per_window = 12000;
+  return opts;
+}
 
+DataPlaneConfig WorkerSessionConfig(const HarnessOptions& opts,
+                                    const obs::MetricLabels& metric_labels) {
   DataPlaneConfig cfg = MakeEngineConfig(opts.version, opts.engine);
   cfg.logical_audit_timestamps = true;
-  cfg.knobs.lockfree_retire = lockfree_retire;
-  DataPlane dp(cfg);
+  cfg.metric_labels = metric_labels;
+  return cfg;
+}
+
+WorkerSessionArtifacts RunWorkerSession(const Pipeline& pipeline, WorkloadKind kind,
+                                        int worker_threads, bool fuse_chains = true,
+                                        bool drain_per_frame = false,
+                                        const obs::MetricLabels& metric_labels = {}) {
+  const HarnessOptions opts = WorkerSessionOptions(kind);
+  DataPlane dp(WorkerSessionConfig(opts, metric_labels));
   WorkerSessionArtifacts out;
   {
     RunnerConfig rc;
@@ -542,8 +561,7 @@ WorkerSessionArtifacts RunWorkerSession(const Pipeline& pipeline, WorkloadKind k
         ++out.ingest_failures;
       }
       // NO drain by default: this is the schedule-independence property, not a pinned
-      // schedule. The fault-injection properties drain per frame to pin the schedule so a
-      // seeded fault stream hits both runs at identical points.
+      // schedule. Only the pinned reference drains per frame.
       if (drain_per_frame) {
         runner.Drain();
       }
@@ -554,6 +572,33 @@ WorkerSessionArtifacts RunWorkerSession(const Pipeline& pipeline, WorkloadKind k
   }
   out.upload = dp.FlushAudit(&out.records);
   out.report = CloudVerifier(pipeline.ToVerifierSpec()).Verify(out.records);
+  return out;
+}
+
+// Labels no other session in this process carries, so the session's instruments in the
+// process-wide metrics registry start empty.
+obs::MetricLabels UniqueSessionLabels() {
+  static std::atomic<int> next{0};
+  return {{"session", "pinned-reference-" + std::to_string(next.fetch_add(1))}};
+}
+
+// Every frontier drain of the labelled session committed exactly one ticket.
+void ExpectCommittedOneTicketPerDrain(const obs::MetricLabels& labels) {
+  const obs::Histogram* batches =
+      obs::MetricsRegistry::Global().GetHistogram("sbt_ticket_commit_batch_tickets", labels);
+  EXPECT_GT(batches->Count(), 0u);
+  // Bucket 1 holds exactly the value 1. Sum == Count would also accept a 0-ticket drain (a
+  // committer that lost the race and found the frontier drained) beside a 2-ticket one.
+  EXPECT_EQ(batches->BucketCounts()[1], batches->Count())
+      << "the pinned reference reordered tickets";
+}
+
+WorkerSessionArtifacts RunPinnedReference(const Pipeline& pipeline, WorkloadKind kind) {
+  const obs::MetricLabels labels = UniqueSessionLabels();
+  WorkerSessionArtifacts out = RunWorkerSession(pipeline, kind, /*worker_threads=*/1,
+                                                /*fuse_chains=*/true,
+                                                /*drain_per_frame=*/true, labels);
+  ExpectCommittedOneTicketPerDrain(labels);
   return out;
 }
 
@@ -618,146 +663,93 @@ void ExpectWorkerCountInvariant(const WorkerSessionArtifacts& a,
       << (a.report.violations.empty() ? "" : a.report.violations[0]);
   EXPECT_TRUE(b.report.correct)
       << (b.report.violations.empty() ? "" : b.report.violations[0]);
+  // A verdict over a log that lost records can be vacuously correct: the replay must have
+  // covered every window the session egressed.
+  EXPECT_GT(a.results.size(), 0u);
+  EXPECT_EQ(a.report.windows_verified, a.results.size());
 }
 
-TEST(WorkerEquivalence, DistinctPipelineOneVsEightWorkers) {
+TEST(WorkerEquivalence, DistinctPipelineAcrossWorkerCounts) {
   const Pipeline p = MakeDistinct(1000);
-  ExpectWorkerCountInvariant(RunWorkerSession(p, WorkloadKind::kTaxi, 1),
-                             RunWorkerSession(p, WorkloadKind::kTaxi, 8));
+  const WorkerSessionArtifacts ref = RunPinnedReference(p, WorkloadKind::kTaxi);
+  for (const int workers : {1, 2, 4, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ExpectWorkerCountInvariant(ref, RunWorkerSession(p, WorkloadKind::kTaxi, workers));
+  }
 }
 
-TEST(WorkerEquivalence, PowerPipelineDeepCloseDagOneVsEightWorkers) {
+TEST(WorkerEquivalence, PowerPipelineDeepCloseDag) {
+  // Power's 7-stage close DAG produces the longest per-ticket record vectors: the heaviest
+  // load on the slot staging and the frontier batch-commit.
   const Pipeline p = MakePower(1000);
-  ExpectWorkerCountInvariant(RunWorkerSession(p, WorkloadKind::kPowerGrid, 1),
+  ExpectWorkerCountInvariant(RunPinnedReference(p, WorkloadKind::kPowerGrid),
                              RunWorkerSession(p, WorkloadKind::kPowerGrid, 8));
 }
 
 TEST(WorkerEquivalence, WinSumPipelineIntermediateWorkerCounts) {
   const Pipeline p = MakeWinSum(1000);
-  const WorkerSessionArtifacts one = RunWorkerSession(p, WorkloadKind::kIntelLab, 1);
-  ExpectWorkerCountInvariant(one, RunWorkerSession(p, WorkloadKind::kIntelLab, 2));
-  ExpectWorkerCountInvariant(one, RunWorkerSession(p, WorkloadKind::kIntelLab, 4));
+  const WorkerSessionArtifacts ref = RunPinnedReference(p, WorkloadKind::kIntelLab);
+  for (const int workers : {2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ExpectWorkerCountInvariant(ref, RunWorkerSession(p, WorkloadKind::kIntelLab, workers));
+  }
 }
 
-TEST(WorkerEquivalence, UnfusedBoundaryOneVsEightWorkers) {
+TEST(WorkerEquivalence, UnfusedBoundaryAcrossWorkerCounts) {
   // The paper's call-per-primitive boundary under parallel workers: each chain step crosses
-  // the TEE separately, still under one ticket — same invariant.
+  // the TEE separately, still under one ticket. Against the fused reference, the boundary
+  // mode and the worker count are BOTH invisible.
   const Pipeline p = MakeDistinct(1000);
-  ExpectWorkerCountInvariant(
-      RunWorkerSession(p, WorkloadKind::kTaxi, 1, /*fuse_chains=*/false),
-      RunWorkerSession(p, WorkloadKind::kTaxi, 8, /*fuse_chains=*/false));
-}
-
-TEST(WorkerEquivalence, FusedVsUnfusedAtFourWorkers) {
-  // Both axes at once: the boundary mode and the worker count are BOTH invisible.
-  const Pipeline p = MakeDistinct(1000);
-  ExpectWorkerCountInvariant(
-      RunWorkerSession(p, WorkloadKind::kTaxi, 4, /*fuse_chains=*/true),
-      RunWorkerSession(p, WorkloadKind::kTaxi, 4, /*fuse_chains=*/false));
+  const WorkerSessionArtifacts ref = RunPinnedReference(p, WorkloadKind::kTaxi);
+  for (const int workers : {1, 4, 8}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    ExpectWorkerCountInvariant(
+        ref, RunWorkerSession(p, WorkloadKind::kTaxi, workers, /*fuse_chains=*/false));
+  }
 }
 
 TEST(WorkerEquivalence, HoldsUnderInjectedWorldSwitchFaults) {
   // Seeded SMC faults abort and re-issue TEE entries at schedule-dependent points — different
   // entries fault at different worker counts — but a fault burns cycles without touching the
-  // dataflow, so the equivalence must survive.
+  // dataflow or the committed order, so the equivalence must survive.
   const Pipeline p = MakeDistinct(1000);
-  const WorkerSessionArtifacts one = RunWorkerSession(p, WorkloadKind::kTaxi, 1);
-  testing::ScopedFailPoint fp("world_switch.fault",
-                              testing::ScopedFailPoint::Seeded(/*seed=*/42, /*num=*/1,
-                                                               /*den=*/8));
-  ExpectWorkerCountInvariant(one, RunWorkerSession(p, WorkloadKind::kTaxi, 8));
-}
-
-// --- lock-free retire equivalence --------------------------------------------------------
-//
-// The lock-free ticket ring (bounded MPSC reorder buffer, per-worker slot staging, frontier
-// batch-commit) replaces the seq_mu_-guarded std::map. The legacy locked path stays compiled
-// as the reference implementation, and nothing about the swap may be externally visible: the
-// audit chain bytes, upload MAC, egress blobs, and replay verdicts must match the locked path
-// bit for bit at every worker count, every boundary mode, and under injected faults.
-
-WorkerSessionArtifacts RunLocked(const Pipeline& p, WorkloadKind kind, int workers,
-                                 bool fuse = true) {
-  return RunWorkerSession(p, kind, workers, fuse, /*lockfree_retire=*/false);
-}
-
-TEST(LockfreeRetireEquivalence, LockedVsLockfreeAcrossWorkerCounts) {
-  const Pipeline p = MakeDistinct(1000);
-  const WorkerSessionArtifacts locked = RunLocked(p, WorkloadKind::kTaxi, 1);
-  for (const int workers : {1, 2, 4, 8}) {
-    ExpectWorkerCountInvariant(locked, RunWorkerSession(p, WorkloadKind::kTaxi, workers));
+  const WorkerSessionArtifacts ref = RunPinnedReference(p, WorkloadKind::kTaxi);
+  for (const uint64_t seed : {42u, 57u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    testing::ScopedFailPoint fp("world_switch.fault",
+                                testing::ScopedFailPoint::Seeded(seed, /*num=*/1, /*den=*/8));
+    ExpectWorkerCountInvariant(ref, RunWorkerSession(p, WorkloadKind::kTaxi, 8));
   }
 }
 
-TEST(LockfreeRetireEquivalence, PowerPipelineDeepCloseDag) {
-  // Power's 7-stage close DAG produces the longest per-ticket record vectors: the heaviest
-  // load on the slot staging and the frontier batch-commit.
-  const Pipeline p = MakePower(1000);
-  ExpectWorkerCountInvariant(RunLocked(p, WorkloadKind::kPowerGrid, 1),
-                             RunWorkerSession(p, WorkloadKind::kPowerGrid, 8));
-}
-
-TEST(LockfreeRetireEquivalence, FusedAndUnfusedBoundaryModes) {
-  // The retire path composes with both boundary modes: call-per-primitive steps and fused
-  // chains stage records under the same tickets.
+TEST(WorkerEquivalence, SeededAllocFaultsFailIdentically) {
+  // Secure-DRAM exhaustion fails the chain. The pinned schedule fixes where the seeded fault
+  // sequence lands, so two reference runs must fail the SAME chains and still produce
+  // bit-identical artifacts, errors and all; their one-ticket-per-drain check shows a failed
+  // ticket retires through the ring in order.
   const Pipeline p = MakeDistinct(1000);
-  for (const bool fuse : {false, true}) {
-    ExpectWorkerCountInvariant(RunLocked(p, WorkloadKind::kTaxi, 4, fuse),
-                               RunWorkerSession(p, WorkloadKind::kTaxi, 4, fuse));
-  }
-}
-
-TEST(LockfreeRetireEquivalence, HoldsUnderInjectedWorldSwitchFaults) {
-  // Seeded SMC faults abort and re-issue entries at schedule-dependent points; they burn
-  // cycles on the lock-free path's workers but must never touch the committed order.
-  const Pipeline p = MakeDistinct(1000);
-  const WorkerSessionArtifacts locked = RunLocked(p, WorkloadKind::kTaxi, 1);
-  testing::ScopedFailPoint fp("world_switch.fault",
-                              testing::ScopedFailPoint::Seeded(/*seed=*/57, /*num=*/1,
-                                                               /*den=*/8));
-  ExpectWorkerCountInvariant(locked, RunWorkerSession(p, WorkloadKind::kTaxi, 8));
-}
-
-TEST(LockfreeRetireEquivalence, SeededAllocFaultsFailIdentically) {
-  // Secure-DRAM exhaustion fails the chain (kept from the ingress-hardening PR). With one
-  // worker and a per-frame drain the schedule — and therefore the seeded fault sequence — is
-  // pinned, so the locked and lock-free paths must fail the SAME chains and still produce
-  // bit-identical artifacts, errors and all: a failed ticket retires empty through the ring
-  // exactly as it did through the map.
-  const Pipeline p = MakeDistinct(1000);
-  const auto run = [&](bool lockfree) {
+  const auto run = [&] {
     testing::ScopedFailPoint fp("secure_world.alloc_frame",
                                 testing::ScopedFailPoint::Seeded(/*seed=*/2026, /*num=*/1,
                                                                  /*den=*/7));
-    return RunWorkerSession(p, WorkloadKind::kTaxi, 1, /*fuse_chains=*/true, lockfree,
-                            /*drain_per_frame=*/true);
+    return RunPinnedReference(p, WorkloadKind::kTaxi);
   };
-  const WorkerSessionArtifacts locked = run(false);
-  const WorkerSessionArtifacts lockfree = run(true);
-  EXPECT_GT(locked.task_errors + locked.ingest_failures, 0u) << "p=1/7 over many draws";
-  EXPECT_EQ(locked.task_errors, lockfree.task_errors);
-  EXPECT_EQ(locked.ingest_failures, lockfree.ingest_failures);
-  ExpectSameExternalArtifacts(locked, lockfree);
+  const WorkerSessionArtifacts first = run();
+  const WorkerSessionArtifacts second = run();
+  EXPECT_GT(first.task_errors + first.ingest_failures, 0u) << "p=1/7 over many draws";
+  EXPECT_EQ(first.task_errors, second.task_errors);
+  EXPECT_EQ(first.ingest_failures, second.ingest_failures);
+  ExpectSameExternalArtifacts(first, second);
 }
 
-TEST(LockfreeRetireEquivalence, CheckpointAtRingFrontierIsByteIdentical) {
+TEST(WorkerEquivalence, CheckpointAtRingFrontierIsByteIdentical) {
   // A checkpoint may only seal once the reorder ring is fully committed (frontier == next
-  // ticket, open_tickets() == 0). Both retire paths must quiesce to the same frontier
-  // mid-stream and flush the same chain link into the seal.
+  // ticket, open_tickets() == 0). A free-running session must quiesce mid-stream to the same
+  // frontier as the pinned reference and flush the same chain link into the seal.
   const Pipeline p = MakeDistinct(1000);
-  const auto run = [&](bool lockfree, int workers) {
-    HarnessOptions opts;
-    opts.version = EngineVersion::kSbtClearIngress;
-    opts.engine.secure_pool_mb = 64;
-    opts.generator.batch_events = 4000;
-    opts.generator.num_windows = 3;
-    opts.generator.workload.kind = WorkloadKind::kTaxi;
-    opts.generator.workload.events_per_window = 12000;
-
-    DataPlaneConfig cfg = MakeEngineConfig(opts.version, opts.engine);
-    cfg.logical_audit_timestamps = true;
-    cfg.knobs.lockfree_retire = lockfree;
-    DataPlane dp(cfg);
+  const auto run = [&](int workers, bool drain_per_frame, const obs::MetricLabels& labels) {
+    const HarnessOptions opts = WorkerSessionOptions(WorkloadKind::kTaxi);
+    DataPlane dp(WorkerSessionConfig(opts, labels));
     RunnerConfig rc;
     rc.knobs.worker_threads = workers;
     Runner runner(&dp, p, rc);
@@ -772,6 +764,9 @@ TEST(LockfreeRetireEquivalence, CheckpointAtRingFrontierIsByteIdentical) {
       if (++frames == 5) {
         break;  // checkpoint mid-stream: tickets in flight, ring hot
       }
+      if (drain_per_frame) {
+        runner.Drain();
+      }
     }
     std::vector<WindowResult> results;
     auto bundle = EngineLifecycle(&dp, &runner).Checkpoint({}, &results);
@@ -780,20 +775,23 @@ TEST(LockfreeRetireEquivalence, CheckpointAtRingFrontierIsByteIdentical) {
     return std::pair<AuditUpload, std::vector<WindowResult>>(
         bundle.ok() ? bundle->audit : AuditUpload{}, std::move(results));
   };
-  const auto [locked_audit, locked_results] = run(false, 1);
+  const obs::MetricLabels ref_labels = UniqueSessionLabels();
+  const auto [ref_audit, ref_results] = run(1, /*drain_per_frame=*/true, ref_labels);
+  ExpectCommittedOneTicketPerDrain(ref_labels);
   for (const int workers : {1, 4}) {
-    const auto [audit, results] = run(true, workers);
-    EXPECT_EQ(locked_audit.chain_seq, audit.chain_seq);
-    EXPECT_TRUE(DigestEqual(locked_audit.chain_prev, audit.chain_prev));
-    EXPECT_EQ(locked_audit.record_count, audit.record_count);
-    EXPECT_EQ(locked_audit.raw_bytes, audit.raw_bytes);
-    EXPECT_EQ(locked_audit.compressed, audit.compressed);
-    EXPECT_TRUE(DigestEqual(locked_audit.mac, audit.mac));
-    ASSERT_EQ(locked_results.size(), results.size());
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const auto [audit, results] = run(workers, /*drain_per_frame=*/false, {});
+    EXPECT_EQ(ref_audit.chain_seq, audit.chain_seq);
+    EXPECT_TRUE(DigestEqual(ref_audit.chain_prev, audit.chain_prev));
+    EXPECT_EQ(ref_audit.record_count, audit.record_count);
+    EXPECT_EQ(ref_audit.raw_bytes, audit.raw_bytes);
+    EXPECT_EQ(ref_audit.compressed, audit.compressed);
+    EXPECT_TRUE(DigestEqual(ref_audit.mac, audit.mac));
+    ASSERT_EQ(ref_results.size(), results.size());
     for (size_t i = 0; i < results.size(); ++i) {
-      ASSERT_EQ(locked_results[i].blobs.size(), results[i].blobs.size());
+      ASSERT_EQ(ref_results[i].blobs.size(), results[i].blobs.size());
       for (size_t j = 0; j < results[i].blobs.size(); ++j) {
-        EXPECT_EQ(locked_results[i].blobs[j].ciphertext, results[i].blobs[j].ciphertext);
+        EXPECT_EQ(ref_results[i].blobs[j].ciphertext, results[i].blobs[j].ciphertext);
       }
     }
   }

@@ -21,10 +21,8 @@
 namespace sbt {
 namespace {
 
-DataPlaneConfig RingConfig(bool lockfree) {
-  DataPlaneConfig cfg = testing::SmallDataPlaneConfig(/*decrypt_ingress=*/false);
-  cfg.knobs.lockfree_retire = lockfree;
-  return cfg;
+DataPlaneConfig RingConfig() {
+  return testing::SmallDataPlaneConfig(/*decrypt_ingress=*/false);
 }
 
 // --- ticket ring under contention --------------------------------------------------------
@@ -35,7 +33,7 @@ TEST(TicketRing, ConcurrentStageAndRetireCommitsInProgramOrder) {
   // must still read back in exact program order.
   constexpr uint64_t kTickets = 10000;
   constexpr int kWorkers = 8;
-  DataPlane dp(RingConfig(/*lockfree=*/true));
+  DataPlane dp(RingConfig());
 
   std::mutex mu;
   std::deque<ExecTicket> queue;
@@ -92,7 +90,7 @@ TEST(TicketRing, ReverseRetireCommitsNothingUntilTheFrontierRetires) {
   // Retire every ticket EXCEPT the frontier: nothing may commit (log order == ticket order,
   // not retire order). Retiring the frontier then commits the whole run in one batch.
   constexpr uint64_t kTickets = 64;
-  DataPlane dp(RingConfig(/*lockfree=*/true));
+  DataPlane dp(RingConfig());
 
   std::vector<ExecTicket> tickets;
   tickets.reserve(kTickets);
@@ -120,7 +118,7 @@ TEST(TicketRing, ConcurrentRetireElectionNeverStrandsASuffix) {
   // The commit-election race: a ticket that retires while another thread is mid-drain (or
   // just released the commit lock) must never be stranded uncommitted. Many rounds of a
   // 2-ticket race distill exactly that window.
-  DataPlane dp(RingConfig(/*lockfree=*/true));
+  DataPlane dp(RingConfig());
   constexpr int kRounds = 2000;
   for (int round = 0; round < kRounds; ++round) {
     ExecTicket a = dp.OpenTicket(0);
@@ -137,14 +135,11 @@ TEST(TicketRing, ConcurrentRetireElectionNeverStrandsASuffix) {
 TEST(TicketRing, CheckpointRefusesWhileRingNonEmpty) {
   // The checkpoint admission rule extends to the lock-free ring: an open ticket (or a retired
   // ticket whose commit hasn't been drained) is in-flight state the seal must refuse.
-  for (const bool lockfree : {true, false}) {
-    DataPlane dp(RingConfig(lockfree));
-    ExecTicket ticket = dp.OpenTicket(0);
-    EXPECT_EQ(dp.Checkpoint().status().code(), StatusCode::kFailedPrecondition)
-        << "lockfree=" << lockfree;
-    dp.RetireTicket(ticket);
-    EXPECT_TRUE(dp.Checkpoint().ok()) << "lockfree=" << lockfree;
-  }
+  DataPlane dp(RingConfig());
+  ExecTicket ticket = dp.OpenTicket(0);
+  EXPECT_EQ(dp.Checkpoint().status().code(), StatusCode::kFailedPrecondition);
+  dp.RetireTicket(ticket);
+  EXPECT_TRUE(dp.Checkpoint().ok());
 }
 
 // --- sharded id arenas under contention ---------------------------------------------------
