@@ -48,12 +48,13 @@ class EngineLifecycle {
                                                  std::vector<WindowResult>* results = nullptr);
 
   // Restores a FULL seal into this freshly constructed pair (same configs); returns the
-  // server annex. Delta seals apply through ReplicaSession / DataPlane::ApplyDelta.
+  // server annex. A delta needs its base already in the plane, so delta chains apply through
+  // ReplicaSession (DataPlane::Restore) and reach a runner through AdoptState.
   Result<std::vector<uint8_t>> Restore(const SealedCheckpoint& sealed);
 
   // Promote-path splice: the paired data plane already holds applied state; the freshly
-  // constructed runner adopts `engine_annex` (the control annex a Restore/ApplyDelta on that
-  // plane returned). Returns the server annex.
+  // constructed runner adopts `engine_annex` (the control annex the last DataPlane::Restore
+  // on that plane returned). Returns the server annex.
   Result<std::vector<uint8_t>> AdoptState(std::span<const uint8_t> engine_annex);
 
  private:

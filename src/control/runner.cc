@@ -179,6 +179,10 @@ Status Runner::IngestFrame(std::span<const uint8_t> frame, uint16_t stream,
   }();
   dp_->RetireTicket(frame_ticket);
   if (!windowed.ok()) {
+    // A refused Segment retires nothing, so the ingested batch would stay pinned in the pool
+    // (and sealed into every later checkpoint). Release it: its ingest record stays in the
+    // audit log with no consumer, so the verifier reports the frame as never processed.
+    (void)dp_->Release(ingested->ref);
     return windowed.status();
   }
 

@@ -35,11 +35,16 @@ namespace sbt {
 // v3: the clear header carries the full engine identity (tenant / engine / shard) plus the seal
 // mode and, for delta seals, the base chain position the delta applies on top of — all bound
 // under the MAC. v2 seals are refused at the version gate.
-inline constexpr uint32_t kCheckpointVersion = 3;
+// v4: one payload format. Every seal carries tombstones and additions relative to a base; a
+// full seal is a delta from the empty base (zero tombstones, every live entry an addition), so
+// one trusted decoder (DataPlane::Restore) reads both modes. v3 seals, whose full payload had
+// no tombstone count, are refused at the version gate.
+inline constexpr uint32_t kCheckpointVersion = 4;
 
-// Full seal = complete quiesced engine state. Delta seal = only uArrays created (and a
-// tombstone list for uArrays retired) since the engine's previous seal; it applies only on top
-// of a plane whose audit chain sits exactly at the delta's base position.
+// Full seal = complete quiesced engine state: a delta from the empty base. Delta seal = only
+// uArrays created (and a tombstone list for uArrays retired) since the engine's previous seal;
+// it applies only on top of a plane whose audit chain sits exactly at the delta's base
+// position. The mode stays in the MAC-bound header because the base position depends on it.
 enum class SealMode : uint8_t {
   kFull = 0,
   kDelta = 1,

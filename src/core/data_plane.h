@@ -258,27 +258,25 @@ class DataPlane {
   // (a command buffer is atomic with respect to checkpoints), and the Status message plus the
   // reason-labeled sbt_checkpoint_refusals_total counter name which guard tripped.
   //
-  // mode == kDelta seals only the change since this plane's previous seal: full entries for
-  // uArrays created since, a tombstone list for uArrays retired since (sound because ids are
-  // never reused and a Produced uArray is immutable), and the scalar positions. A delta
-  // requested before any seal exists falls back to a full seal — check sealed.mode.
+  // Both modes write one payload: tombstones and additions relative to a base. mode == kDelta
+  // seals only the change since this plane's previous seal — full entries for uArrays created
+  // since, tombstones for uArrays retired since (sound because ids are never reused and a
+  // Produced uArray is immutable), and the scalar positions. A full seal is a delta from the
+  // empty base. A delta requested before any seal exists falls back to a full seal — check
+  // sealed.mode.
   Result<CheckpointBundle> Checkpoint(std::span<const uint8_t> control_annex = {},
                                       SealMode mode = SealMode::kFull);
 
-  // Restores a sealed FULL checkpoint into this freshly constructed data plane (same tenant
-  // keys) and returns the control annex. Tampered or truncated seals fail with kDataLoss;
-  // restoring into a non-fresh data plane (or from a delta seal) fails with
-  // kFailedPrecondition; a partition too small for the checkpointed state fails with
-  // kResourceExhausted (discard the instance on any failure).
+  // Applies a sealed checkpoint of either mode (same tenant keys) and returns its control
+  // annex. A kFull seal needs a freshly constructed plane; a kDelta seal needs a seal base
+  // (a prior Restore or Checkpoint), else kFailedPrecondition. A delta whose base position
+  // differs from this plane's chain position — reordered, replayed, or forked — fails with
+  // kDataLoss before it is decrypted. Both modes then share one path: unseal, parse, validate
+  // the whole payload, then mutate. A tampered, truncated, or malformed seal fails with
+  // kDataLoss and leaves the plane untouched, so the authentic seal still applies to it. A
+  // partition too small for the sealed state fails mid-apply with kResourceExhausted (discard
+  // the instance).
   Result<std::vector<uint8_t>> Restore(const SealedCheckpoint& sealed);
-
-  // Applies a delta seal on top of previously restored state (standby replica path, or a
-  // restored primary catching up through a seal chain). The delta's base position must equal
-  // this plane's current chain position exactly — a reordered, replayed, or forked delta fails
-  // with kDataLoss and leaves no partial mutation observable to a subsequent retry only if the
-  // caller discards the instance (treat any failure as fatal to the replica). Returns the
-  // control annex sealed with the delta.
-  Result<std::vector<uint8_t>> ApplyDelta(const SealedCheckpoint& sealed);
 
   // Audit chain position: sequence number of the next upload and MAC of the last one.
   uint64_t audit_chain_seq() const;
@@ -435,7 +433,7 @@ class DataPlane {
   obs::Counter* m_refuse_uarray_;    // reason="open_uarray"
 
   // --- delta-seal base tracking (guarded by admission_mu_) ---
-  // Array ids included in this plane's previous seal (or restored/applied baseline), mapped to
+  // Array ids included in this plane's previous seal (or the last seal it restored), mapped to
   // their table refs so a delta can tombstone retired ids. Sound because array ids are
   // monotonic (never reused) and a Produced uArray is immutable: "dirtied since the last seal"
   // reduces to set difference on ids.

@@ -128,7 +128,11 @@ Result<std::vector<SegmentOutput>> SegmentEvents(const PrimitiveContext& ctx,
     }
   }
   const uint32_t lo_idx = window_fn.FirstWindow(min_t);
-  std::vector<size_t> counts(static_cast<size_t>(window_fn.LastWindow(max_t) - lo_idx) + 1, 0);
+  const uint64_t windows = uint64_t{window_fn.LastWindow(max_t)} - lo_idx + 1;
+  if (windows > kMaxSegmentWindowSpan) {
+    return InvalidArgument("Segment: batch spans more windows than kMaxSegmentWindowSpan");
+  }
+  std::vector<size_t> counts(windows, 0);
   {
     WindowSpanCache span(window_fn);
     size_t* row = nullptr;

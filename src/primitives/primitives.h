@@ -87,6 +87,14 @@ struct SegmentOutput {
   uint32_t window_index = 0;
   UArray* events = nullptr;  // Event elements, produced
 };
+// Widest window-index span (first window of the earliest event to last window of the latest)
+// one Segment call accepts; a wider batch fails with kInvalidArgument before anything is
+// allocated. Event times come from remote devices, and Segment's bookkeeping is 16 bytes per
+// spanned window, so without a bound one frame holding times 0 and UINT32_MAX at a 1-ms slide
+// would ask for ~64 GB. 2^16 windows caps the bookkeeping at 1 MB, yet is far above any real
+// frame: at the 1-s windows every shipped pipeline uses, a frame would have to carry 18 hours
+// of event time, while generator and device frames cover one or two windows.
+inline constexpr uint64_t kMaxSegmentWindowSpan = uint64_t{1} << 16;
 Result<std::vector<SegmentOutput>> PrimSegment(const PrimitiveContext& ctx, const UArray& events,
                                                const SlidingWindowFn& window_fn);
 

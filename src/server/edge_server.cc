@@ -195,8 +195,9 @@ ReplicaSession::Options EdgeServer::ReplicaOptions() const {
   return opts;
 }
 
-Result<EdgeServer::Engine*> EdgeServer::CreateEngine(Shard& shard, const TenantSpec& spec,
-                                                     const EngineIdentity& identity) {
+Result<std::unique_ptr<EdgeServer::Engine>> EdgeServer::BuildEngine(
+    const Shard& shard, const TenantSpec& spec, uint64_t engine_id,
+    const std::function<std::unique_ptr<DataPlane>(const obs::MetricLabels&)>& make_dp) {
   const size_t partition_bytes = EnginePartitionBytes(spec);
   if (shard.carved_bytes + partition_bytes > shard.slice_bytes) {
     return ResourceExhausted("tenant " + spec.name + " quota oversubscribes shard " +
@@ -218,10 +219,6 @@ Result<EdgeServer::Engine*> EdgeServer::CreateEngine(Shard& shard, const TenantS
   // here with its new shard label; the old series simply stops moving.
   const obs::MetricLabels labels = EngineMetricLabels(spec.name, shard.index);
 
-  // The data-plane config comes from the shared recipe every construction site uses.
-  const DataPlaneConfig dp_cfg = MakeEngineDataPlaneConfig(
-      spec, identity, config_.switch_cost, config_.logical_audit_timestamps, labels);
-
   RunnerConfig rc;
   rc.knobs.worker_threads = workers;
   rc.metric_labels = labels;
@@ -229,18 +226,30 @@ Result<EdgeServer::Engine*> EdgeServer::CreateEngine(Shard& shard, const TenantS
   // kShed tenants drop at the data-plane door instead of blocking inside IngestFrame.
   rc.block_on_backpressure = spec.admission == AdmissionPolicy::kStall;
 
-  auto owned = std::make_unique<Engine>();
-  owned->engine_id = identity.engine_id;
-  owned->tenant = spec.id;
-  owned->admission = spec.admission;
-  owned->worker_threads = workers;
-  owned->partition_bytes = partition_bytes;
-  owned->dp = std::make_unique<DataPlane>(dp_cfg);
-  owned->runner = std::make_unique<Runner>(owned->dp.get(), spec.pipeline, rc);
-  owned->committed_gauge =
+  auto engine = std::make_unique<Engine>();
+  engine->engine_id = engine_id;
+  engine->tenant = spec.id;
+  engine->admission = spec.admission;
+  engine->worker_threads = workers;
+  engine->partition_bytes = partition_bytes;
+  engine->dp = make_dp(labels);
+  engine->runner = std::make_unique<Runner>(engine->dp.get(), spec.pipeline, rc);
+  engine->committed_gauge =
       obs::MetricsRegistry::Global().GetGauge("sbt_engine_committed_bytes", labels);
-  shard.carved_bytes += partition_bytes;
+  return engine;
+}
+
+Result<EdgeServer::Engine*> EdgeServer::CreateEngine(Shard& shard, const TenantSpec& spec,
+                                                     const EngineIdentity& identity) {
+  // The data-plane config comes from the shared recipe every construction site uses.
+  SBT_ASSIGN_OR_RETURN(
+      std::unique_ptr<Engine> owned,
+      BuildEngine(shard, spec, identity.engine_id, [&](const obs::MetricLabels& labels) {
+        return std::make_unique<DataPlane>(MakeEngineDataPlaneConfig(
+            spec, identity, config_.switch_cost, config_.logical_audit_timestamps, labels));
+      }));
   Engine* engine = owned.get();
+  shard.carved_bytes += engine->partition_bytes;
   shard.engines.push_back(std::move(owned));
   return engine;
 }
@@ -714,33 +723,9 @@ Status EdgeServer::AdoptEngine(Shard& shard, ReplicaSession::PromotedEngine pe) 
     break;
   }
 
-  const size_t partition_bytes = EnginePartitionBytes(*spec);
-  if (shard.carved_bytes + partition_bytes > shard.slice_bytes) {
-    return ResourceExhausted("tenant " + spec->name + " quota oversubscribes shard " +
-                             std::to_string(shard.index));
-  }
-  int workers = spec->worker_threads > 0 ? spec->worker_threads : config_.workers_per_engine;
-  if (config_.host_worker_budget > 0) {
-    const int remaining = config_.host_worker_budget - WorkersAllocated();
-    workers = std::max(1, std::min(workers, remaining));
-  }
-  const obs::MetricLabels labels = EngineMetricLabels(spec->name, shard.index);
-  RunnerConfig rc;
-  rc.knobs.worker_threads = workers;
-  rc.metric_labels = labels;
-  rc.ingest_path = IngestPath::kTrustedIo;
-  rc.block_on_backpressure = spec->admission == AdmissionPolicy::kStall;
-
-  auto owned = std::make_unique<Engine>();
-  owned->engine_id = pe.identity.engine_id;
-  owned->tenant = pe.identity.tenant;
-  owned->admission = spec->admission;
-  owned->worker_threads = workers;
-  owned->partition_bytes = partition_bytes;
-  owned->dp = std::move(pe.dp);
-  owned->runner = std::make_unique<Runner>(owned->dp.get(), spec->pipeline, rc);
-  owned->committed_gauge =
-      obs::MetricsRegistry::Global().GetGauge("sbt_engine_committed_bytes", labels);
+  SBT_ASSIGN_OR_RETURN(std::unique_ptr<Engine> owned,
+                       BuildEngine(shard, *spec, pe.identity.engine_id,
+                                   [&](const obs::MetricLabels&) { return std::move(pe.dp); }));
 
   // The promote-path splice: the plane already carries the applied state; the fresh runner
   // adopts the latest control annex, and the server annex restores our own bookkeeping.
@@ -771,7 +756,7 @@ Status EdgeServer::AdoptEngine(Shard& shard, ReplicaSession::PromotedEngine pe) 
   next_engine_id_ = std::max(next_engine_id_, owned->engine_id + 1);
 
   Engine* engine = owned.get();
-  shard.carved_bytes += partition_bytes;
+  shard.carved_bytes += engine->partition_bytes;
   shard.engines.push_back(std::move(owned));
   for (const auto& [source, watermark] : engine->source_watermarks) {
     shard.by_source[SourceKey(engine->tenant, source)] = engine;

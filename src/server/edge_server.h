@@ -87,6 +87,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -362,6 +363,14 @@ class EdgeServer {
   // Blocks until `pause_requested_` drops, counting this thread as parked meanwhile.
   void ParkUntilResumed();
 
+  // The one engine-construction recipe, shared by bind-time creation and promote-time
+  // adoption: the shard carve check, the worker grant, the per-engine labels, the runner
+  // config, the Engine fields and the committed gauge. `make_dp` supplies the data plane —
+  // built from the labels at bind time, the pre-applied one at promote — and runs only once
+  // the carve check passed. The engine is not installed: the caller adds its carve to `shard`.
+  Result<std::unique_ptr<Engine>> BuildEngine(
+      const Shard& shard, const TenantSpec& spec, uint64_t engine_id,
+      const std::function<std::unique_ptr<DataPlane>(const obs::MetricLabels&)>& make_dp);
   Result<Engine*> CreateEngine(Shard& shard, const TenantSpec& spec,
                                const EngineIdentity& identity);
   // Points the shard's (possibly fresh) ingest queue at its labeled depth gauge. Called

@@ -198,59 +198,47 @@ Status ReplicaSession::Apply(SealArtifact artifact) {
   }
   const uint64_t engine_id = artifact.engine_id();
 
-  if (artifact.sealed.mode == SealMode::kFull) {
-    // A full seal re-establishes the engine wholesale: verify its complete upload chain from
-    // the head, then restore into a freshly constructed plane. Failures leave any existing
-    // slot for this engine untouched.
-    auto verifier = std::make_unique<AuditChainVerifier>(spec->mac_key);
-    for (const AuditUpload& upload : artifact.uploads) {
-      SBT_RETURN_IF_ERROR(verifier->Accept(upload));
-    }
-    SBT_RETURN_IF_ERROR(
-        verifier->AcceptResume(artifact.identity().chain_seq, artifact.identity().chain_head));
-    auto dp = std::make_unique<DataPlane>(MakeEngineDataPlaneConfig(
+  // A full seal re-establishes the engine wholesale: a fresh plane, and a fresh verifier that
+  // checks the complete upload chain from its head. A delta extends the slot's plane and
+  // verified chain. Failures leave any existing slot for this engine untouched.
+  const bool full = artifact.sealed.mode == SealMode::kFull;
+  Slot fresh;
+  Slot* slot = &fresh;
+  if (full) {
+    fresh.dp = std::make_unique<DataPlane>(MakeEngineDataPlaneConfig(
         *spec, artifact.identity(), options_.switch_cost, options_.logical_audit_timestamps,
         obs::MetricLabels{{"tenant", spec->name}, {"role", "standby"}}));
-    SBT_ASSIGN_OR_RETURN(std::vector<uint8_t> annex, dp->Restore(artifact.sealed));
-
-    Slot slot;
-    slot.identity = artifact.identity();
-    slot.dp = std::move(dp);
-    slot.verifier = std::move(verifier);
-    slot.engine_annex = std::move(annex);
-    slot.uploads = std::move(artifact.uploads);
-    slot.results = std::move(artifact.results);
-    slot.source_frames = std::move(artifact.source_frames);
-    slots_.insert_or_assign(engine_id, std::move(slot));
-    ++seals_applied_;
-    return OkStatus();
+    fresh.verifier = std::make_unique<AuditChainVerifier>(spec->mac_key);
+  } else {
+    const auto it = slots_.find(engine_id);
+    if (it == slots_.end()) {
+      return FailedPrecondition("delta seal for engine " + std::to_string(engine_id) +
+                                " but this replica holds no full base for it");
+    }
+    slot = &it->second;
   }
-
-  const auto it = slots_.find(engine_id);
-  if (it == slots_.end()) {
-    return FailedPrecondition("delta seal for engine " + std::to_string(engine_id) +
-                              " but this replica holds no full base for it");
-  }
-  Slot& slot = it->second;
-  // Chain-verify on a scratch copy first: a corrupted, reordered, or replayed delta is
-  // rejected here (or by ApplyDelta's base-position check) with the slot byte-for-byte
-  // intact, so the correct successor delta still applies.
-  AuditChainVerifier scratch = *slot.verifier;
+  // Chain-verify on a scratch copy first: a corrupted, reordered, or replayed seal is rejected
+  // here (or by Restore's base-position check and validate-then-mutate parse) with the slot
+  // byte-for-byte intact, so the correct successor delta still applies.
+  AuditChainVerifier scratch = *slot->verifier;
   for (const AuditUpload& upload : artifact.uploads) {
     SBT_RETURN_IF_ERROR(scratch.Accept(upload));
   }
   SBT_RETURN_IF_ERROR(
       scratch.AcceptResume(artifact.identity().chain_seq, artifact.identity().chain_head));
-  SBT_ASSIGN_OR_RETURN(std::vector<uint8_t> annex, slot.dp->ApplyDelta(artifact.sealed));
+  SBT_ASSIGN_OR_RETURN(std::vector<uint8_t> annex, slot->dp->Restore(artifact.sealed));
 
-  *slot.verifier = scratch;
-  slot.identity = artifact.identity();
-  slot.engine_annex = std::move(annex);
-  slot.uploads.insert(slot.uploads.end(), std::make_move_iterator(artifact.uploads.begin()),
-                      std::make_move_iterator(artifact.uploads.end()));
-  slot.results.insert(slot.results.end(), std::make_move_iterator(artifact.results.begin()),
-                      std::make_move_iterator(artifact.results.end()));
-  slot.source_frames = std::move(artifact.source_frames);  // cumulative counts: replace
+  *slot->verifier = scratch;
+  slot->identity = artifact.identity();
+  slot->engine_annex = std::move(annex);
+  slot->uploads.insert(slot->uploads.end(), std::make_move_iterator(artifact.uploads.begin()),
+                       std::make_move_iterator(artifact.uploads.end()));
+  slot->results.insert(slot->results.end(), std::make_move_iterator(artifact.results.begin()),
+                       std::make_move_iterator(artifact.results.end()));
+  slot->source_frames = std::move(artifact.source_frames);  // cumulative counts: replace
+  if (full) {
+    slots_.insert_or_assign(engine_id, std::move(fresh));
+  }
   ++seals_applied_;
   return OkStatus();
 }

@@ -12,11 +12,13 @@
 //
 //   subscribe  — the replication subscriber (src/server/replication.h) or an operator feeds
 //                every artifact the primary seals, in order, through Apply();
-//   apply      — a kFull artifact re-establishes the engine wholesale (fresh DataPlane,
-//                fresh chain verification from the first upload); a kDelta artifact extends
-//                both the verified chain and the plane's seal base, and is rejected if it is
-//                corrupted, reordered, replayed, or forked (DataPlane::ApplyDelta checks the
-//                base position, the verifier checks the chain);
+//   apply      — one sequence for both modes: accept the uploads on a scratch verifier,
+//                resume it at the seal's position, DataPlane::Restore the seal, commit the
+//                slot. A kFull artifact starts from a fresh DataPlane and a fresh verifier
+//                (the engine is re-established wholesale); a kDelta artifact starts from the
+//                slot's plane and a copy of its verifier, and is rejected if it is corrupted,
+//                reordered, replayed, or forked (Restore checks the base position, the
+//                verifier checks the chain);
 //   promote    — TakeEngines() hands the pre-applied planes over exactly once; the EdgeServer
 //                builds runners around them (EngineLifecycle::AdoptState) and resumes their
 //                sources. A promoted session refuses further applies and further takes.
@@ -91,8 +93,9 @@ class ReplicaSession {
 
   // Applies one artifact in arrival order. Thread-safe (the subscriber thread and an operator
   // may interleave). kFull replaces the engine's slot wholesale; kDelta requires a slot and
-  // must continue both the verified audit chain and the plane's seal base — on a delta that
-  // fails mid-apply the slot is dropped (a later kFull re-establishes it).
+  // must continue both the verified audit chain and the plane's seal base. A rejected artifact
+  // of either mode leaves the slot as it was (a later kFull re-establishes a slot whose plane
+  // ran out of partition mid-apply).
   Status Apply(SealArtifact artifact);
 
   size_t engines() const;

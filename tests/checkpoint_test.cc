@@ -1,5 +1,5 @@
 // Sealed engine checkpoint/restore through the one lifecycle surface (src/control/lifecycle.h,
-// DataPlane::Checkpoint/Restore/ApplyDelta).
+// DataPlane::Checkpoint/Restore).
 //
 // The acceptance scenarios: seal -> corrupt one byte -> restore is rejected with kDataLoss;
 // seal -> restore -> continue produces byte-identical egress and a verifier-accepted continued
@@ -483,8 +483,8 @@ void RunDeltaChainScenario(int worker_threads, bool fuse_chains) {
   // latest control annex into a fresh runner (the promote-path splice).
   DataPlane dp_a(cfg);
   ASSERT_TRUE(dp_a.Restore(b0->sealed).ok());
-  ASSERT_TRUE(dp_a.ApplyDelta(b1->sealed).ok());
-  auto annex = dp_a.ApplyDelta(b2->sealed);
+  ASSERT_TRUE(dp_a.Restore(b1->sealed).ok());
+  auto annex = dp_a.Restore(b2->sealed);
   ASSERT_TRUE(annex.ok()) << annex.status().ToString();
   Runner runner_a(&dp_a, pipeline, rc);
   ASSERT_TRUE(EngineLifecycle(&dp_a, &runner_a).AdoptState(*annex).ok());
@@ -546,14 +546,14 @@ TEST(CheckpointTest, DeltaChainRejectsReorderReplayAndCorruption) {
   {
     DataPlane replica(cfg);
     ASSERT_TRUE(replica.Restore(b0->sealed).ok());
-    EXPECT_EQ(replica.ApplyDelta(b2->sealed).status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(replica.Restore(b2->sealed).status().code(), StatusCode::kDataLoss);
   }
   // Replayed: a delta applies exactly once; the second apply's base no longer matches.
   {
     DataPlane replica(cfg);
     ASSERT_TRUE(replica.Restore(b0->sealed).ok());
-    ASSERT_TRUE(replica.ApplyDelta(b1->sealed).ok());
-    EXPECT_EQ(replica.ApplyDelta(b1->sealed).status().code(), StatusCode::kDataLoss);
+    ASSERT_TRUE(replica.Restore(b1->sealed).ok());
+    EXPECT_EQ(replica.Restore(b1->sealed).status().code(), StatusCode::kDataLoss);
   }
   // Corrupted mid-chain: the MAC rejects it, the replica's base state stays intact, and the
   // retransmitted authentic delta (and its successor) still applies.
@@ -562,31 +562,30 @@ TEST(CheckpointTest, DeltaChainRejectsReorderReplayAndCorruption) {
     ASSERT_TRUE(replica.Restore(b0->sealed).ok());
     SealedCheckpoint corrupt = b1->sealed;
     corrupt.ciphertext[corrupt.ciphertext.size() / 2] ^= 0x01;
-    EXPECT_EQ(replica.ApplyDelta(corrupt).status().code(), StatusCode::kDataLoss);
-    ASSERT_TRUE(replica.ApplyDelta(b1->sealed).ok());
-    ASSERT_TRUE(replica.ApplyDelta(b2->sealed).ok());
+    EXPECT_EQ(replica.Restore(corrupt).status().code(), StatusCode::kDataLoss);
+    ASSERT_TRUE(replica.Restore(b1->sealed).ok());
+    ASSERT_TRUE(replica.Restore(b2->sealed).ok());
   }
   // Forked base claim: rewriting the base pointer cannot graft a delta onto the wrong link.
   {
     DataPlane replica(cfg);
     ASSERT_TRUE(replica.Restore(b0->sealed).ok());
-    ASSERT_TRUE(replica.ApplyDelta(b1->sealed).ok());
+    ASSERT_TRUE(replica.Restore(b1->sealed).ok());
     SealedCheckpoint forged = b2->sealed;
     forged.base_chain_seq = b0->sealed.identity.chain_seq;
     forged.base_chain_head = b0->sealed.identity.chain_head;
-    EXPECT_EQ(replica.ApplyDelta(forged).status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(replica.Restore(forged).status().code(), StatusCode::kDataLoss);
   }
-  // Mode confusion is refused before any crypto: a full seal is not a delta and vice versa,
-  // and a delta cannot seed a fresh plane.
+  // Each mode's precondition is checked before any crypto: a full seal cannot land on a plane
+  // that already holds a base, and a delta cannot seed a fresh plane.
   {
     DataPlane replica(cfg);
     ASSERT_TRUE(replica.Restore(b0->sealed).ok());
-    EXPECT_EQ(replica.ApplyDelta(b0->sealed).status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(replica.Restore(b0->sealed).status().code(), StatusCode::kFailedPrecondition);
   }
   {
     DataPlane fresh(cfg);
     EXPECT_EQ(fresh.Restore(b1->sealed).status().code(), StatusCode::kFailedPrecondition);
-    EXPECT_EQ(fresh.ApplyDelta(b1->sealed).status().code(), StatusCode::kFailedPrecondition);
   }
 }
 

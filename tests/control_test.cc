@@ -6,7 +6,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -539,6 +542,56 @@ INSTANTIATE_TEST_SUITE_P(BothBoundaryModes, ChainFailureTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "Fused" : "PerInvoke";
                          });
+
+TEST(ControlTest, SegmentRefusedFrameIsReleasedAndAttested) {
+  // Event times are remote input. A frame holding times 0 and UINT32_MAX spans ~4.3M one-second
+  // windows, far past kMaxSegmentWindowSpan, so Segment refuses it. The ingested batch must not
+  // stay pinned in the pool (it would be sealed into every later checkpoint), later windows
+  // must still egress, and the refusal must be attested rather than silent.
+  const Pipeline pipeline = MakeWinSum(1000);
+  DataPlane dp(testing::SmallDataPlaneConfig(/*decrypt_ingress=*/false));
+  RunnerConfig rc;
+  rc.knobs.worker_threads = 1;
+  Runner runner(&dp, pipeline, rc);
+  const auto window_events = [](uint32_t w) {
+    std::vector<Event> events = testing::ConstantEvents(100);
+    for (size_t i = 0; i < events.size(); ++i) {
+      events[i].ts_ms = w * 1000 + static_cast<EventTimeMs>(i);
+    }
+    return events;
+  };
+
+  ASSERT_TRUE(runner.IngestFrame(testing::AsBytes(window_events(0))).ok());
+  runner.Drain();
+  const size_t live_before = dp.live_refs();
+  const std::vector<Event> wide = {{.ts_ms = 0, .key = 1, .value = 1},
+                                   {.ts_ms = std::numeric_limits<EventTimeMs>::max(),
+                                    .key = 1,
+                                    .value = 1}};
+  EXPECT_EQ(runner.IngestFrame(testing::AsBytes(wide)).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dp.live_refs(), live_before) << "the refused frame's batch must be released";
+
+  ASSERT_TRUE(runner.IngestFrame(testing::AsBytes(window_events(1))).ok());
+  ASSERT_TRUE(runner.AdvanceWatermark(2000).ok());
+  runner.Drain();
+  EXPECT_EQ(runner.stats().windows_emitted, 2u);
+  EXPECT_EQ(runner.TakeResults().size(), 2u);
+
+  std::vector<AuditRecord> records;
+  dp.FlushAudit(&records);
+  std::vector<uint32_t> ingested;
+  for (const AuditRecord& r : records) {
+    if (r.op == PrimitiveOp::kIngress) {
+      ingested.insert(ingested.end(), r.outputs.begin(), r.outputs.end());
+    }
+  }
+  ASSERT_EQ(ingested.size(), 3u);
+  std::ostringstream refused;
+  refused << "ingested uArray 0x" << std::hex << ingested[1] << " was never processed";
+  const VerifyReport report = CloudVerifier(pipeline.ToVerifierSpec()).Verify(records);
+  EXPECT_FALSE(report.correct);
+  EXPECT_EQ(report.violations, std::vector<std::string>{refused.str()});
+}
 
 TEST(ControlTest, PipelineExportsMatchingVerifierSpec) {
   const Pipeline p = MakeDistinct(500);

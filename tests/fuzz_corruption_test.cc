@@ -1,12 +1,16 @@
 // Randomized corruption of the two tamper-evident artifacts that leave the TEE — compressed
 // audit uploads and sealed engine checkpoints, full and delta alike (DESIGN.md invariants 2-3
 // and the delta-seal chain rule). A seed matrix drives deterministic bit-flips, truncations,
-// and chain-order violations; every corruption must surface as a kDataLoss-class rejection,
-// and decode/restore/apply must never crash regardless of what the bytes decode to.
+// chain-order violations, and structure-aware mutations of the sealed plaintext re-sealed
+// under valid MACs; every corruption must surface as a kDataLoss-class rejection, restore
+// must never crash regardless of what the bytes decode to, and a rejected seal must leave the
+// plane able to take the pristine one.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "src/attest/audit_chain.h"
@@ -15,6 +19,7 @@
 #include "src/control/benchmarks.h"
 #include "src/control/engine.h"
 #include "src/control/lifecycle.h"
+#include "src/core/checkpoint.h"
 #include "src/core/data_plane.h"
 #include "tests/testing/testing.h"
 
@@ -173,60 +178,241 @@ TEST_P(CorruptionFuzz, CorruptMidChainDeltasAreRejectedAndLeaveTheBaseIntact) {
         SealedCheckpoint corrupt = fx.delta1;
         corrupt.ciphertext[rng.NextBelow(corrupt.ciphertext.size())] ^=
             static_cast<uint8_t>(1u << rng.NextBelow(8));
-        rejected = replica.ApplyDelta(corrupt).status();
+        rejected = replica.Restore(corrupt).status();
         break;
       }
       case 1: {  // truncation
         SealedCheckpoint corrupt = fx.delta1;
         corrupt.ciphertext.resize(rng.NextBelow(corrupt.ciphertext.size()));
-        rejected = replica.ApplyDelta(corrupt).status();
+        rejected = replica.Restore(corrupt).status();
         break;
       }
       case 2: {  // MAC tamper
         SealedCheckpoint corrupt = fx.delta1;
         corrupt.mac[rng.NextBelow(corrupt.mac.size())] ^=
             static_cast<uint8_t>(1u << rng.NextBelow(8));
-        rejected = replica.ApplyDelta(corrupt).status();
+        rejected = replica.Restore(corrupt).status();
         break;
       }
       case 3: {  // base position tamper (graft onto the wrong link)
         SealedCheckpoint corrupt = fx.delta1;
         corrupt.base_chain_seq += 1 + rng.NextBelow(1000);
-        rejected = replica.ApplyDelta(corrupt).status();
+        rejected = replica.Restore(corrupt).status();
         break;
       }
       case 4: {  // claimed base head tamper
         SealedCheckpoint corrupt = fx.delta1;
         corrupt.base_chain_head[rng.NextBelow(corrupt.base_chain_head.size())] ^=
             static_cast<uint8_t>(1u << rng.NextBelow(8));
-        rejected = replica.ApplyDelta(corrupt).status();
+        rejected = replica.Restore(corrupt).status();
         break;
       }
       case 5: {  // seal-position tamper (the delta's own chain stamp)
         SealedCheckpoint corrupt = fx.delta1;
         corrupt.identity.chain_seq += 1 + rng.NextBelow(1000);
-        rejected = replica.ApplyDelta(corrupt).status();
+        rejected = replica.Restore(corrupt).status();
         break;
       }
       case 6:  // reordered: the second delta without the first
-        rejected = replica.ApplyDelta(fx.delta2).status();
+        rejected = replica.Restore(fx.delta2).status();
         break;
       default: {  // replayed: the first delta twice
-        ASSERT_TRUE(replica.ApplyDelta(fx.delta1).ok()) << "trial " << trial;
-        rejected = replica.ApplyDelta(fx.delta1).status();
+        ASSERT_TRUE(replica.Restore(fx.delta1).ok()) << "trial " << trial;
+        rejected = replica.Restore(fx.delta1).status();
         // Rewind for the pristine-chain check below: this replica already holds delta1.
         ASSERT_FALSE(rejected.ok()) << "trial " << trial;
         EXPECT_EQ(rejected.code(), StatusCode::kDataLoss) << "trial " << trial;
-        EXPECT_TRUE(replica.ApplyDelta(fx.delta2).ok()) << "trial " << trial;
+        EXPECT_TRUE(replica.Restore(fx.delta2).ok()) << "trial " << trial;
         continue;
       }
     }
     ASSERT_FALSE(rejected.ok()) << "trial " << trial;
     EXPECT_EQ(rejected.code(), StatusCode::kDataLoss) << "trial " << trial;
     // Nothing half-applied: the pristine chain still lands on this very replica.
-    EXPECT_TRUE(replica.ApplyDelta(fx.delta1).ok()) << "trial " << trial;
-    EXPECT_TRUE(replica.ApplyDelta(fx.delta2).ok()) << "trial " << trial;
+    EXPECT_TRUE(replica.Restore(fx.delta1).ok()) << "trial " << trial;
+    EXPECT_TRUE(replica.Restore(fx.delta2).ok()) << "trial " << trial;
   }
+}
+
+// --- Structure-aware seal fuzzing ----------------------------------------------------------
+//
+// Bit flips never get past the MAC, so they exercise only the unseal step. The cases below
+// unseal a real seal with the fixture keys, mutate the *plaintext* along its structure, and
+// re-seal it under the original header fields: the result is MAC-valid but malformed, and
+// reaches the payload decoder itself.
+
+// Byte offsets of the payload fields a mutation targets, found by walking the one payload
+// layout both seal modes share (DataPlane::Checkpoint): a scalar header, a tombstone count
+// and ids, an addition count and entries, then the length-prefixed control annex.
+struct PayloadLayout {
+  static constexpr size_t kTombstoneCount = 4 + 8 + 8 + 8 + 8;  // magic, 2x U64, 2x F64
+  struct Entry {
+    size_t start = 0;  // the entry's ref field
+    size_t array_id = 0;
+    size_t elem_size = 0;
+    size_t byte_count = 0;
+    size_t end = 0;  // one past the entry's data bytes
+  };
+  uint64_t next_array_id = 0;
+  size_t tombstones_end = 0;  // == offset of the addition count
+  std::vector<Entry> additions;
+};
+
+uint64_t LoadU64(const std::vector<uint8_t>& p, size_t off) {
+  uint64_t v = 0;
+  std::memcpy(&v, p.data() + off, sizeof(v));
+  return v;
+}
+void StoreU64(std::vector<uint8_t>* p, size_t off, uint64_t v) {
+  std::memcpy(p->data() + off, &v, sizeof(v));
+}
+
+PayloadLayout ParseLayout(const std::vector<uint8_t>& p) {
+  PayloadLayout layout;
+  layout.next_array_id = LoadU64(p, 4);
+  size_t off = PayloadLayout::kTombstoneCount;
+  off += 8 + 8 * LoadU64(p, off);
+  layout.tombstones_end = off;
+  const uint64_t additions = LoadU64(p, off);
+  off += 8;
+  for (uint64_t i = 0; i < additions; ++i) {
+    PayloadLayout::Entry e;
+    e.start = off;
+    e.array_id = off + 8;
+    e.elem_size = off + 8 + 8 + 2 + 1;
+    e.byte_count = e.elem_size + 8;
+    e.end = e.byte_count + 8 + LoadU64(p, e.byte_count);
+    layout.additions.push_back(e);
+    off = e.end;
+  }
+  EXPECT_LE(off + 8, p.size()) << "annex length prefix missing";
+  return layout;
+}
+
+// Applies one structural mutation (kind in [0, 7)) to a pristine payload.
+std::vector<uint8_t> MutatePayload(std::vector<uint8_t> p, int kind, Xoshiro256& rng) {
+  const PayloadLayout layout = ParseLayout(p);
+  const auto pick_addition = [&] {
+    return layout.additions[rng.NextBelow(layout.additions.size())];
+  };
+  switch (kind) {
+    case 0:  // truncate at a random offset
+      p.resize(rng.NextBelow(p.size()));
+      break;
+    case 1: {  // bump the tombstone or the addition count, by a little or by a lot
+      const size_t at =
+          rng.NextBelow(2) == 0 ? PayloadLayout::kTombstoneCount : layout.tombstones_end;
+      const uint64_t bump = rng.NextBelow(2) == 0 ? 1 : uint64_t{1} << (1 + rng.NextBelow(63));
+      StoreU64(&p, at, LoadU64(p, at) + bump);
+      break;
+    }
+    case 2:  // zero an addition's elem_size
+      StoreU64(&p, pick_addition().elem_size, 0);
+      break;
+    case 3: {  // drop one data byte: the byte count is no longer a multiple of elem_size
+      std::vector<PayloadLayout::Entry> multi_byte;
+      for (const PayloadLayout::Entry& e : layout.additions) {
+        if (LoadU64(p, e.elem_size) > 1 && LoadU64(p, e.byte_count) > 0) {
+          multi_byte.push_back(e);
+        }
+      }
+      EXPECT_FALSE(multi_byte.empty());
+      const PayloadLayout::Entry e = multi_byte[rng.NextBelow(multi_byte.size())];
+      StoreU64(&p, e.byte_count, LoadU64(p, e.byte_count) - 1);
+      p.erase(p.begin() + static_cast<ptrdiff_t>(e.end) - 1);
+      break;
+    }
+    case 4: {  // duplicate an addition (same id, same ref) right after itself
+      const PayloadLayout::Entry e = pick_addition();
+      const std::vector<uint8_t> copy(p.begin() + static_cast<ptrdiff_t>(e.start),
+                                      p.begin() + static_cast<ptrdiff_t>(e.end));
+      p.insert(p.begin() + static_cast<ptrdiff_t>(e.end), copy.begin(), copy.end());
+      StoreU64(&p, layout.tombstones_end, LoadU64(p, layout.tombstones_end) + 1);
+      break;
+    }
+    case 5: {  // tombstone an id no seal ever issued
+      std::vector<uint8_t> id(8);
+      const uint64_t unknown = layout.next_array_id + rng.NextBelow(1000);
+      std::memcpy(id.data(), &unknown, sizeof(unknown));
+      p.insert(p.begin() + static_cast<ptrdiff_t>(layout.tombstones_end), id.begin(), id.end());
+      StoreU64(&p, PayloadLayout::kTombstoneCount,
+               LoadU64(p, PayloadLayout::kTombstoneCount) + 1);
+      break;
+    }
+    default:  // trailing bytes after the annex
+      for (uint64_t n = 1 + rng.NextBelow(16); n > 0; --n) {
+        p.push_back(static_cast<uint8_t>(rng.Next()));
+      }
+      break;
+  }
+  return p;
+}
+
+constexpr int kPayloadMutations = 7;
+
+// Unseals `sealed`, mutates its plaintext, and re-seals it under the original header fields.
+SealedCheckpoint ResealMutated(const SealedFixture& fx, const SealedCheckpoint& sealed, int kind,
+                               Xoshiro256& rng) {
+  auto plaintext = UnsealCheckpoint(sealed, fx.cfg.egress_key, fx.cfg.mac_key);
+  EXPECT_TRUE(plaintext.ok());
+  const std::vector<uint8_t> mutated = MutatePayload(*plaintext, kind, rng);
+  return SealCheckpoint(std::span<const uint8_t>(mutated.data(), mutated.size()),
+                        fx.cfg.egress_key, fx.cfg.mac_key, sealed.mode, sealed.identity,
+                        sealed.base_chain_seq, sealed.base_chain_head);
+}
+
+TEST_P(CorruptionFuzz, MalformedFullSealPayloadsAreRejectedAndLeaveThePlaneFresh) {
+  const SealedFixture& fx = Fixture();
+  ASSERT_GE(ParseLayout(*UnsealCheckpoint(fx.sealed, fx.cfg.egress_key, fx.cfg.mac_key))
+                .additions.size(),
+            2u);
+  Xoshiro256 rng(GetParam());
+  for (int kind = 0; kind < kPayloadMutations; ++kind) {
+    const SealedCheckpoint malformed = ResealMutated(fx, fx.sealed, kind, rng);
+    DataPlane plane(fx.cfg);
+    const Status rejected = plane.Restore(malformed).status();
+    ASSERT_FALSE(rejected.ok()) << "mutation " << kind;
+    EXPECT_EQ(rejected.code(), StatusCode::kDataLoss) << "mutation " << kind;
+    // Validate-then-mutate: the rejected seal registered nothing, so the same plane is still
+    // fresh and accepts the pristine seal.
+    const Status pristine = plane.Restore(fx.sealed).status();
+    EXPECT_TRUE(pristine.ok()) << "mutation " << kind << ": " << pristine.ToString();
+  }
+}
+
+TEST_P(CorruptionFuzz, MalformedDeltaPayloadsAreRejectedAndLeaveTheBaseIntact) {
+  const SealedFixture& fx = Fixture();
+  ASSERT_GE(ParseLayout(*UnsealCheckpoint(fx.delta1, fx.cfg.egress_key, fx.cfg.mac_key))
+                .additions.size(),
+            1u);
+  Xoshiro256 rng(GetParam());
+  for (int kind = 0; kind < kPayloadMutations; ++kind) {
+    const SealedCheckpoint malformed = ResealMutated(fx, fx.delta1, kind, rng);
+    DataPlane replica(fx.cfg);
+    ASSERT_TRUE(replica.Restore(fx.sealed).ok()) << "mutation " << kind;
+    const Status rejected = replica.Restore(malformed).status();
+    ASSERT_FALSE(rejected.ok()) << "mutation " << kind;
+    EXPECT_EQ(rejected.code(), StatusCode::kDataLoss) << "mutation " << kind;
+    EXPECT_TRUE(replica.Restore(fx.delta1).ok()) << "mutation " << kind;
+    EXPECT_TRUE(replica.Restore(fx.delta2).ok()) << "mutation " << kind;
+  }
+}
+
+TEST(SealPayloadFuzz, ResealingAnUnmutatedPayloadRestores) {
+  // The harness itself is sound: an unmutated plaintext re-sealed the same way applies, so
+  // every rejection above is the mutation's doing.
+  const SealedFixture& fx = Fixture();
+  const auto reseal = [&](const SealedCheckpoint& sealed) {
+    auto plaintext = UnsealCheckpoint(sealed, fx.cfg.egress_key, fx.cfg.mac_key);
+    EXPECT_TRUE(plaintext.ok());
+    return SealCheckpoint(std::span<const uint8_t>(plaintext->data(), plaintext->size()),
+                          fx.cfg.egress_key, fx.cfg.mac_key, sealed.mode, sealed.identity,
+                          sealed.base_chain_seq, sealed.base_chain_head);
+  };
+  DataPlane replica(fx.cfg);
+  ASSERT_TRUE(replica.Restore(reseal(fx.sealed)).ok());
+  ASSERT_TRUE(replica.Restore(reseal(fx.delta1)).ok());
+  ASSERT_TRUE(replica.Restore(reseal(fx.delta2)).ok());
 }
 
 // Seed matrix: 8 seeds by default; the nightly workflow widens it via SBT_FUZZ_SEEDS (seed

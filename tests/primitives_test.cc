@@ -239,6 +239,25 @@ TEST_F(PrimitivesTest, SegmentRejectsZeroWindow) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(PrimitivesTest, SegmentRefusesABatchSpanningTooManyWindows) {
+  // Event times are remote input: at a 1-ms slide, times 0 and UINT32_MAX in one frame would
+  // size Segment's per-window bookkeeping at ~4G entries. Refused before anything is
+  // allocated; a batch exactly at the bound still segments.
+  constexpr EventTimeMs kMax = std::numeric_limits<EventTimeMs>::max();
+  UArray* wide = MakeEvents({{.ts_ms = 0, .key = 1, .value = 1}, {.ts_ms = kMax, .key = 2}});
+  const size_t arrays_before = alloc_.stats().live_arrays;
+  EXPECT_EQ(PrimSegment(ctx_, *wide, SlidingWindowFn{1, 1}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(alloc_.stats().live_arrays, arrays_before);
+
+  const auto last = static_cast<EventTimeMs>(kMaxSegmentWindowSpan - 1);
+  UArray* at_bound = MakeEvents({{.ts_ms = 0, .key = 1}, {.ts_ms = last, .key = 2}});
+  auto result = PrimSegment(ctx_, *at_bound, SlidingWindowFn{1, 1});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->size(), 2u);
+  EXPECT_EQ((*result)[1].window_index, last);
+}
+
 // --- Segment differential test --------------------------------------------------
 //
 // PrimSegment computes window indices with reciprocal multiplies and caches the time span of

@@ -450,12 +450,16 @@ void ExpectByteIdentical(const SessionArtifacts& fused, const SessionArtifacts& 
   // Audit stream: record-identical modulo wall-clock timestamps.
   EXPECT_EQ(StripTimestamps(fused.records), StripTimestamps(unfused.records));
 
-  // Verifier replay verdict.
+  // Verifier replay verdict. `correct` alone is blind to a log that lost every ticketed
+  // record (nothing left to contradict), so each side must also verify every window it
+  // egressed.
   EXPECT_TRUE(fused.report.correct)
       << (fused.report.violations.empty() ? "" : fused.report.violations[0]);
   EXPECT_TRUE(unfused.report.correct)
       << (unfused.report.violations.empty() ? "" : unfused.report.violations[0]);
-  EXPECT_EQ(fused.report.windows_verified, unfused.report.windows_verified);
+  EXPECT_FALSE(fused.results.empty());
+  EXPECT_EQ(fused.report.windows_verified, fused.results.size());
+  EXPECT_EQ(unfused.report.windows_verified, unfused.results.size());
   EXPECT_EQ(fused.report.hints_audited, unfused.report.hints_audited);
 
   // And the fusion actually fused: strictly fewer boundary crossings.

@@ -169,9 +169,13 @@ void ExpectContinuationsIdentical(const ContinuationArtifacts& current,
   AuditChainVerifier chain(cfg.mac_key);
   ASSERT_TRUE(chain.Accept(current.seal_upload).ok());
   ASSERT_TRUE(chain.Accept(current.final_upload).ok());
+  // `correct` alone would also accept a log that lost every ticketed record, so the replay
+  // must account for every window the session egressed.
   const VerifyReport report =
       CloudVerifier(MakeDistinct(1000).ToVerifierSpec()).Verify(current.records);
   EXPECT_TRUE(report.correct) << (report.violations.empty() ? "" : report.violations[0]);
+  EXPECT_FALSE(current.results.empty());
+  EXPECT_EQ(report.windows_verified, current.results.size());
 }
 
 TEST_P(WorkerStress, CheckpointedContinuationMatchesSingleWorkerByteForByte) {
@@ -223,6 +227,7 @@ TEST_P(WorkerStress, ConcurrentStreamIngestIsRaceFreeAndReplays) {
   EXPECT_TRUE(chain.Accept(upload).ok());
   const VerifyReport report = CloudVerifier(pipeline.ToVerifierSpec()).Verify(records);
   EXPECT_TRUE(report.correct) << (report.violations.empty() ? "" : report.violations[0]);
+  EXPECT_EQ(report.windows_verified, 4u);
 }
 
 // --- 3. seeded chain failures: no wedge, no leak, chain still verifies -------------------
