@@ -8,7 +8,8 @@
 // atomic load, so the hooks stay in release builds.
 //
 // Hooked sites:
-//   secure_world.alloc_frame    SecureWorld::AllocFrame returns kResourceExhausted
+//   secure_world.alloc_frame    SecureWorld::AllocRun stops at this frame (once per frame, in
+//                               order) and returns kResourceExhausted
 //   channel.try_push            BoundedChannel<T>::TryPush returns false (queue-full signal)
 //   world_switch.fault          WorldSwitchGate entry is aborted and retried (extra entry burn)
 //   data_plane.checkpoint_stall DataPlane::Checkpoint spins between its refusal decision and

@@ -40,12 +40,12 @@ SecureWorld::SecureWorld(const TzPartitionConfig& config) : config_(config) {
   SBT_CHECK(memfd_ >= 0);
   SBT_CHECK(ftruncate(memfd_, static_cast<off_t>(config_.secure_dram_bytes)) == 0);
 
-  free_list_.reserve(pool_frames_);
-  // LIFO free list; pushing in reverse makes early allocations low-numbered and contiguous,
-  // which lets the kernel merge adjacent VMAs for sequential growth.
-  for (size_t i = pool_frames_; i > 0; --i) {
-    free_list_.push_back(static_cast<uint32_t>(i - 1));
+  // Every frame starts free (see AllocRun for the lowest-fit policy).
+  free_bits_.assign((pool_frames_ + 63) / 64, ~uint64_t{0});
+  if (pool_frames_ % 64 != 0) {
+    free_bits_.back() = (uint64_t{1} << (pool_frames_ % 64)) - 1;
   }
+  free_count_ = pool_frames_;
 }
 
 SecureWorld::~SecureWorld() {
@@ -60,7 +60,7 @@ SecureWorld::~SecureWorld() {
 
 size_t SecureWorld::free_frames() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return free_list_.size();
+  return free_count_;
 }
 
 Result<VirtualRange> SecureWorld::Reserve(size_t capacity) {
@@ -115,39 +115,79 @@ double SecureWorld::PoolUtilization() const {
          static_cast<double>(config_.secure_dram_bytes);
 }
 
-Result<uint32_t> SecureWorld::AllocFrame() {
-  if (SBT_FAIL_POINT("secure_world.alloc_frame")) {
-    return ResourceExhausted("secure DRAM pool exhausted (injected)");
-  }
+Status SecureWorld::AllocRun(size_t n, std::vector<uint32_t>* frames) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (free_list_.empty()) {
-    return ResourceExhausted("secure DRAM pool exhausted");
+  // Each frame passes the fail point and then the pool check, in order, so a failed request
+  // keeps exactly the frames before the failure.
+  Status status = OkStatus();
+  size_t take = 0;
+  for (; take < n; ++take) {
+    if (SBT_FAIL_POINT("secure_world.alloc_frame")) {
+      status = ResourceExhausted("secure DRAM pool exhausted (injected)");
+      break;
+    }
+    if (take == free_count_) {
+      status = ResourceExhausted("secure DRAM pool exhausted");
+      break;
+    }
   }
-  const uint32_t frame = free_list_.back();
-  free_list_.pop_back();
-  return frame;
+  if (take == 0) {
+    return status;
+  }
+  auto is_free = [this](size_t f) { return ((free_bits_[f / 64] >> (f % 64)) & 1) != 0; };
+  // Lowest fit: the lowest run of `take` free frames, so the request maps with one call. With
+  // no such run, the lowest free frames.
+  size_t start = 0;
+  size_t run = 0;
+  for (size_t f = start; f < pool_frames_ && run < take; ++f) {
+    if (!is_free(f)) {
+      run = 0;
+    } else if (run++ == 0) {
+      start = f;
+    }
+  }
+  if (run < take) {
+    start = 0;
+  }
+  for (size_t f = start, taken = 0; taken < take; ++f) {
+    if (is_free(f)) {
+      free_bits_[f / 64] &= ~(uint64_t{1} << (f % 64));
+      frames->push_back(static_cast<uint32_t>(f));
+      ++taken;
+    }
+  }
+  free_count_ -= take;
+  return status;
 }
 
-void SecureWorld::FreeFrame(uint32_t frame) {
+void SecureWorld::FreeFrames(const uint32_t* frames, size_t n) {
   std::lock_guard<std::mutex> lock(mu_);
-  SBT_CHECK(frame < pool_frames_);
-  free_list_.push_back(frame);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t frame = frames[i];
+    SBT_CHECK(frame < pool_frames_);
+    const uint64_t mask = uint64_t{1} << (frame % 64);
+    SBT_CHECK((free_bits_[frame / 64] & mask) == 0 && "frame freed twice");
+    free_bits_[frame / 64] |= mask;
+  }
+  free_count_ += n;
 }
 
-Status SecureWorld::MapFrame(uint32_t frame, uint8_t* addr) {
-  const size_t page = page_bytes();
-  void* mapped = mmap(addr, page, PROT_READ | PROT_WRITE, MAP_SHARED | MAP_FIXED, memfd_,
-                      static_cast<off_t>(static_cast<uint64_t>(frame) * page));
+Status SecureWorld::MapRun(uint32_t first, size_t n, uint8_t* addr) {
+  const size_t bytes = n * page_bytes();
+  // MAP_POPULATE installs the run's page-table entries up front, so the first touch of a
+  // freshly committed page takes no demand fault.
+  void* mapped = mmap(addr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED | MAP_FIXED | MAP_POPULATE,
+                      memfd_, static_cast<off_t>(static_cast<uint64_t>(first) * page_bytes()));
   if (mapped == MAP_FAILED) {
     return Internal(std::string("secure page map failed: ") + std::strerror(errno));
   }
   const size_t committed =
-      committed_bytes_.fetch_add(page, std::memory_order_relaxed) + page;
+      committed_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   size_t peak = peak_committed_.load(std::memory_order_relaxed);
   while (committed > peak &&
          !peak_committed_.compare_exchange_weak(peak, committed, std::memory_order_relaxed)) {
   }
-  page_faults_.fetch_add(1, std::memory_order_relaxed);
+  page_faults_.fetch_add(n, std::memory_order_relaxed);
   return OkStatus();
 }
 
@@ -161,8 +201,7 @@ void SecureWorld::UnmapSpan(uint8_t* addr, size_t bytes) {
   reclaims_.fetch_add(bytes / page_bytes(), std::memory_order_relaxed);
 }
 
-void SecureWorld::UnregisterRange(const VirtualRange* range, uint8_t* base, size_t capacity) {
-  (void)range;
+void SecureWorld::UnregisterRange(uint8_t* base, size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < live_ranges_.size(); ++i) {
     if (live_ranges_[i].base == base) {
@@ -179,7 +218,7 @@ VirtualRange& VirtualRange::operator=(VirtualRange&& other) noexcept {
   if (this != &other) {
     ReleaseAll();
     if (world_ != nullptr && base_ != nullptr) {
-      world_->UnregisterRange(this, base_, capacity_);
+      world_->UnregisterRange(base_, capacity_);
     }
     // mu_ deliberately stays put: each object keeps its own mutex (moves are setup-time only).
     world_ = other.world_;
@@ -203,7 +242,7 @@ VirtualRange& VirtualRange::operator=(VirtualRange&& other) noexcept {
 VirtualRange::~VirtualRange() {
   ReleaseAll();
   if (world_ != nullptr && base_ != nullptr) {
-    world_->UnregisterRange(this, base_, capacity_);
+    world_->UnregisterRange(base_, capacity_);
     base_ = nullptr;
     world_ = nullptr;
   }
@@ -215,21 +254,33 @@ Status VirtualRange::EnsureBacked(size_t end_offset) {
     return OutOfRange("uArray grew past its uGroup's virtual reservation");
   }
   std::lock_guard<std::mutex> lock(*mu_);
+  if (committed_end_ >= end_offset) {
+    return OkStatus();
+  }
   const size_t page = world_->page_bytes();
-  while (committed_end_ < end_offset) {
-    SBT_ASSIGN_OR_RETURN(const uint32_t frame, world_->AllocFrame());
-    const Status mapped = world_->MapFrame(frame, base_ + committed_end_);
+  if (frames_.empty()) {
+    first_page_ = committed_end_ / page;
+  }
+  // Take every page this call is short in one allocation; on failure, commit what was taken.
+  size_t run = frames_.size();
+  const Status allocated = world_->AllocRun((end_offset - committed_end_ + page - 1) / page,
+                                            &frames_);
+  // Map each run of adjacent frames with one call.
+  while (run < frames_.size()) {
+    size_t run_end = run + 1;
+    while (run_end < frames_.size() && frames_[run_end] == frames_[run_end - 1] + 1) {
+      ++run_end;
+    }
+    const Status mapped = world_->MapRun(frames_[run], run_end - run, base_ + committed_end_);
     if (!mapped.ok()) {
-      world_->FreeFrame(frame);
+      world_->FreeFrames(frames_.data() + run, frames_.size() - run);
+      frames_.resize(run);
       return mapped;
     }
-    if (frames_.empty()) {
-      first_page_ = committed_end_ / page;
-    }
-    frames_.push_back(frame);
-    committed_end_ += page;
+    committed_end_ += (run_end - run) * page;
+    run = run_end;
   }
-  return OkStatus();
+  return allocated;
 }
 
 void VirtualRange::ReleaseHead(size_t begin_offset) {
@@ -244,13 +295,12 @@ void VirtualRange::ReleaseHeadLocked(size_t begin_offset) {
   if (committed_begin_ >= reclaim_end) {
     return;
   }
+  const size_t first = committed_begin_ / page;
+  const size_t count = (reclaim_end - committed_begin_) / page;
+  SBT_CHECK(first >= first_page_ && first - first_page_ + count <= frames_.size());
   world_->UnmapSpan(base_ + committed_begin_, reclaim_end - committed_begin_);
-  while (committed_begin_ < reclaim_end) {
-    const size_t page_index = committed_begin_ / page;
-    SBT_CHECK(page_index >= first_page_ && page_index - first_page_ < frames_.size());
-    world_->FreeFrame(frames_[page_index - first_page_]);
-    committed_begin_ += page;
-  }
+  world_->FreeFrames(frames_.data() + (first - first_page_), count);
+  committed_begin_ = reclaim_end;
 }
 
 void VirtualRange::ReleaseAll() {

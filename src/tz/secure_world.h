@@ -3,15 +3,20 @@
 // Mechanics (see DESIGN.md "substitutions"): the secure DRAM pool is a memfd sized to the
 // TZASC-configured secure budget; "physical frames" are page-granule slices of that file.
 // A VirtualRange reserves a large PROT_NONE anonymous region (emulating the TEE's huge private
-// address space) and commits frames into it on demand with MAP_FIXED mappings of the memfd.
+// address space) and commits frames into it on demand. A commit takes every frame it is short
+// in one allocation (the lowest run of adjacent free frames that fits, from a free-frame
+// bitmap) and maps each run of adjacent frames with one populated MAP_FIXED mapping of the
+// memfd: one syscall and no demand faults per run, where a real secure kernel would write the
+// run's page-table entries.
 // This gives the same observable behaviour the paper relies on:
 //   - growth is in place (the reserved virtual range never moves),
 //   - committed memory is bounded by the physical pool (backpressure on exhaustion),
-//   - reclaim decommits pages and returns frames to the pool immediately.
+//   - reclaim decommits pages (one PROT_NONE remap per span, so reclaimed memory is
+//     inaccessible) and returns frames to the pool immediately.
 //
 // Thread safety: frame allocation/free is internally synchronized; a VirtualRange must be grown
 // by a single producer at a time (which the uArray lifecycle guarantees: only the open uArray at
-// a uGroup's tail grows).
+// a uGroup's tail grows), while another thread may reclaim its head concurrently.
 
 #ifndef SRC_TZ_SECURE_WORLD_H_
 #define SRC_TZ_SECURE_WORLD_H_
@@ -99,7 +104,7 @@ struct SecureMemoryStats {
   size_t committed_bytes = 0;   // currently backed
   size_t peak_committed = 0;    // high-water mark
   size_t reserved_virtual = 0;  // sum of live virtual reservations
-  uint64_t page_faults = 0;     // on-demand commits performed
+  uint64_t page_faults = 0;     // pages committed on demand
   uint64_t reclaims = 0;        // pages decommitted
 };
 
@@ -133,20 +138,28 @@ class SecureWorld {
  private:
   friend class VirtualRange;
 
-  Result<uint32_t> AllocFrame();
-  void FreeFrame(uint32_t frame);
-  // Maps `frame` at `addr`; MAP_FIXED over the reservation.
-  Status MapFrame(uint32_t frame, uint8_t* addr);
+  // Appends up to `n` free frames to `frames`, in ascending order: the lowest run of adjacent
+  // free frames long enough, or the lowest free frames when no run is. Each frame passes the
+  // secure_world.alloc_frame fail point in order; on an injected failure or an empty pool it
+  // stops there and returns kResourceExhausted, keeping the frames taken before the failure.
+  Status AllocRun(size_t n, std::vector<uint32_t>* frames);
+  // Returns `n` frames to the pool.
+  void FreeFrames(const uint32_t* frames, size_t n);
+  // Maps the `n` adjacent frames starting at `first` at `addr` with one populated MAP_FIXED
+  // mapping over the reservation.
+  Status MapRun(uint32_t first, size_t n, uint8_t* addr);
   // Replaces the mappings in [addr, addr+bytes) with an inaccessible reservation.
   void UnmapSpan(uint8_t* addr, size_t bytes);
-  void UnregisterRange(const VirtualRange* range, uint8_t* base, size_t capacity);
+  void UnregisterRange(uint8_t* base, size_t capacity);
 
   TzPartitionConfig config_;
   int memfd_ = -1;
   size_t pool_frames_ = 0;
 
   mutable std::mutex mu_;
-  std::vector<uint32_t> free_list_;
+  // Free-frame bitmap: bit f % 64 of word f / 64 is set iff frame f is free.
+  std::vector<uint64_t> free_bits_;
+  size_t free_count_ = 0;
   struct LiveRange {
     uint8_t* base;
     size_t capacity;

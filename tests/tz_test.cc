@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/tz/secure_world.h"
 #include "src/tz/tzasc.h"
 #include "src/tz/world_switch.h"
@@ -18,6 +23,55 @@ namespace {
 
 TzPartitionConfig SmallConfig() {
   return testing::SmallTzPartition(1);  // 1 MB pool
+}
+
+constexpr size_t kPage = 64u << 10;
+
+// One line of /proc/self/maps.
+struct MapsEntry {
+  uintptr_t begin = 0;
+  uintptr_t end = 0;
+  std::string perms;
+  uint64_t inode = 0;
+  std::string path;
+};
+
+// The /proc/self/maps entry whose mapping contains `addr`; begin == end when none does.
+MapsEntry MappingAt(const void* addr) {
+  const auto a = reinterpret_cast<uintptr_t>(addr);
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  while (std::getline(maps, line)) {
+    std::istringstream in(line);
+    MapsEntry e;
+    std::string range;
+    std::string offset;
+    std::string dev;
+    in >> range >> e.perms >> offset >> dev >> e.inode;
+    std::getline(in >> std::ws, e.path);
+    const size_t dash = range.find('-');
+    e.begin = std::stoull(range.substr(0, dash), nullptr, 16);
+    e.end = std::stoull(range.substr(dash + 1), nullptr, 16);
+    if (a >= e.begin && a < e.end) {
+      return e;
+    }
+  }
+  return MapsEntry{};
+}
+
+// The stamp tests fill a whole committed page with, keyed by its owner (range, page): two
+// committed pages sharing a frame, or overlapping file offsets, overwrite each other's stamps.
+uint64_t StampOf(uint64_t range_id, size_t page_index) {
+  return (range_id << 32) | page_index;
+}
+void StampPage(uint8_t* page, uint64_t range_id, size_t page_index) {
+  std::fill_n(reinterpret_cast<uint64_t*>(page), kPage / sizeof(uint64_t),
+              StampOf(range_id, page_index));
+}
+bool PageHasStamp(const uint8_t* page, uint64_t range_id, size_t page_index) {
+  const auto* words = reinterpret_cast<const uint64_t*>(page);
+  return std::all_of(words, words + kPage / sizeof(uint64_t),
+                     [&](uint64_t w) { return w == StampOf(range_id, page_index); });
 }
 
 TEST(TzascTest, ValidatesConfig) {
@@ -208,6 +262,178 @@ TEST(SecureWorldTest, ConcurrentRangesShareThePool) {
   // 4 * 256KB = 1MB fits exactly.
   EXPECT_EQ(successes.load(), kThreads);
   EXPECT_EQ(world.free_frames(), 16u);
+}
+
+TEST(SecureWorldTest, ReclaimedPagesAreInaccessibleAndTheRestStaysMapped) {
+  SecureWorld world(SmallConfig());
+  auto range = world.Reserve(1u << 20);
+  ASSERT_TRUE(range.ok());
+  ASSERT_TRUE(range->EnsureBacked(6 * kPage).ok());  // one multi-frame run
+  std::memset(range->base(), 0x5a, 6 * kPage);
+  range->ReleaseHead(2 * kPage + 100);  // the partial third page is deferred
+  ASSERT_EQ(range->committed_begin(), 2 * kPage);
+
+  for (size_t p = 0; p < 7; ++p) {
+    const MapsEntry e = MappingAt(range->base() + p * kPage);
+    ASSERT_LT(e.begin, e.end) << "page " << p << " has no mapping at all";
+    if (p < 2 || p == 6) {
+      // Reclaimed head and never-committed tail: the inaccessible anonymous reservation.
+      EXPECT_EQ(e.perms, "---p") << "page " << p;
+      EXPECT_EQ(e.inode, 0u) << "page " << p;
+      EXPECT_EQ(e.path, "") << "page " << p;
+    } else {
+      // Still committed: a shared, writable mapping of the secure DRAM memfd.
+      EXPECT_EQ(e.perms, "rw-s") << "page " << p;
+      EXPECT_NE(e.path.find("sbt_secure_dram"), std::string::npos) << "page " << p;
+      EXPECT_EQ(range->base()[p * kPage], 0x5a);
+    }
+  }
+}
+
+TEST(SecureWorldTest, FramesNeverAliasUnderFragmentation) {
+  // Two ranges interleave commits and head reclaims on the 16-frame pool, so later commits
+  // take scattered frames and map as several runs. Every committed page carries its owner's
+  // stamp; a frame mapped twice, or a run mapped at the wrong file offset, breaks one.
+  SecureWorld world(SmallConfig());
+  struct Tracked {
+    VirtualRange range;
+    uint64_t id;
+    size_t stamped_end = 0;  // bytes
+  };
+  std::vector<Tracked> ranges;
+  ranges.reserve(2);
+  for (uint64_t id = 1; id <= 2; ++id) {
+    auto r = world.Reserve(64u << 20);
+    ASSERT_TRUE(r.ok());
+    ranges.push_back(Tracked{std::move(*r), id});
+  }
+  auto grow = [&](Tracked& t, size_t pages) {
+    const Status s = t.range.EnsureBacked(t.range.committed_end() + pages * kPage);
+    EXPECT_TRUE(s.ok() || s.code() == StatusCode::kResourceExhausted) << s.ToString();
+    for (; t.stamped_end < t.range.committed_end(); t.stamped_end += kPage) {
+      StampPage(t.range.base() + t.stamped_end, t.id, t.stamped_end / kPage);
+    }
+  };
+  auto check_all = [&](size_t step) {
+    size_t committed_pages = 0;
+    for (const Tracked& t : ranges) {
+      for (size_t off = t.range.committed_begin(); off < t.range.committed_end(); off += kPage) {
+        ASSERT_TRUE(PageHasStamp(t.range.base() + off, t.id, off / kPage))
+            << "step " << step << ": range " << t.id << " page " << off / kPage;
+        ++committed_pages;
+      }
+    }
+    ASSERT_EQ(committed_pages + world.free_frames(), world.pool_frames()) << "step " << step;
+  };
+
+  // A scripted prefix that leaves holes of every shape, then a seeded random walk.
+  grow(ranges[0], 5);
+  grow(ranges[1], 3);
+  grow(ranges[0], 4);
+  ranges[0].range.ReleaseHead(3 * kPage);
+  grow(ranges[1], 4);  // two runs: the freed head plus one fresh frame
+  check_all(0);
+  Xoshiro256 rng(16);
+  for (size_t step = 1; step <= 300; ++step) {
+    Tracked& t = ranges[rng.NextBelow(2)];
+    if (rng.NextBelow(2) == 0) {
+      grow(t, 1 + rng.NextBelow(8));  // may exhaust the pool part-way
+    } else {
+      t.range.ReleaseHead(t.range.committed_begin() + rng.NextBelow(6 * kPage));
+    }
+    check_all(step);
+  }
+  EXPECT_EQ(world.stats().page_faults - world.stats().reclaims,
+            world.pool_frames() - world.free_frames());
+}
+
+TEST(SecureWorldTest, HeadReclaimRacesGrowthOnTheSamePool) {
+  // The pattern the VirtualRange class comment promises: one thread grows a range while
+  // another reclaims its head, and a third grows and reclaims a second range on the same
+  // 16-frame pool. Every page is stamped by its grower and checked before it is reclaimed.
+  SecureWorld world(SmallConfig());
+  constexpr size_t kGrowBytes = 200 * kPage;
+  constexpr size_t kRounds = 60;
+  auto a = world.Reserve(kGrowBytes);
+  auto b = world.Reserve(kRounds * 4 * kPage);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  std::atomic<size_t> a_stamped{0};
+  std::atomic<bool> grower_done{false};
+  std::atomic<int> errors{0};
+
+  std::thread grower([&] {
+    size_t stamped = 0;
+    for (size_t step = 0; stamped < kGrowBytes; ++step) {
+      const Status s = a->EnsureBacked(std::min(kGrowBytes, stamped + (1 + step % 5) * kPage));
+      if (!s.ok() && s.code() != StatusCode::kResourceExhausted) {
+        errors.fetch_add(1);
+        break;
+      }
+      for (const size_t end = a->committed_end(); stamped < end; stamped += kPage) {
+        StampPage(a->base() + stamped, 1, stamped / kPage);
+      }
+      a_stamped.store(stamped, std::memory_order_release);
+      if (!s.ok()) {
+        std::this_thread::yield();  // the reclaimer frees frames
+      }
+    }
+    grower_done.store(true, std::memory_order_release);
+  });
+  std::thread reclaimer([&] {
+    size_t checked = 0;
+    for (size_t step = 0; checked < kGrowBytes; ++step) {
+      const size_t stamped = a_stamped.load(std::memory_order_acquire);
+      if (stamped == checked) {
+        if (grower_done.load(std::memory_order_acquire) &&
+            a_stamped.load(std::memory_order_acquire) == checked) {
+          break;
+        }
+        std::this_thread::yield();
+        continue;
+      }
+      for (; checked < stamped; checked += kPage) {
+        if (!PageHasStamp(a->base() + checked, 1, checked / kPage)) {
+          errors.fetch_add(1);
+        }
+      }
+      // A ragged target: whole pages below it go, a partial last page waits for later.
+      a->ReleaseHead(checked - (step % 2 == 0 ? 0 : 100));
+    }
+    a->ReleaseHead(kGrowBytes);
+  });
+  std::thread second([&] {
+    for (size_t round = 0; round < kRounds; ++round) {
+      const size_t target = b->committed_end() + (1 + round % 4) * kPage;
+      Status s = b->EnsureBacked(target);
+      while (s.code() == StatusCode::kResourceExhausted) {
+        std::this_thread::yield();
+        s = b->EnsureBacked(target);
+      }
+      if (!s.ok()) {
+        errors.fetch_add(1);
+        return;
+      }
+      for (size_t off = b->committed_begin(); off < target; off += kPage) {
+        StampPage(b->base() + off, 2, off / kPage);
+      }
+      for (size_t off = b->committed_begin(); off < target; off += kPage) {
+        if (!PageHasStamp(b->base() + off, 2, off / kPage)) {
+          errors.fetch_add(1);
+        }
+      }
+      b->ReleaseHead(target);
+    }
+  });
+  grower.join();
+  reclaimer.join();
+  second.join();
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(a->committed_begin(), kGrowBytes);
+  EXPECT_EQ(world.free_frames(), world.pool_frames());
+  EXPECT_EQ(world.stats().committed_bytes, 0u);
+  EXPECT_EQ(world.stats().page_faults, world.stats().reclaims);
 }
 
 // --- deterministic fault injection (tests/testing ScopedFailPoint fixture) ---------------
